@@ -50,12 +50,7 @@
      REFINE_LIVE      set to 0 to skip the live-status overhead probe: the
                       same 2-worker campaign (telemetry forwarding on in
                       both) with the /status server off vs on; the delta is
-                      the "live" section of BENCH_obs.json
-     REFINE_DETACH    set to 0 to skip the post-injection detach probe
-                      (DESIGN.md S20): the same fixed-seed DC+EP campaign
-                      with detach off vs on — bit-identical tables, wall
-                      times and the measured REFINE/PINFI execute-time
-                      ratio become the "detach" section of BENCH_obs.json *)
+                      the "live" section of BENCH_obs.json *)
 
 module T = Refine_core.Tool
 module E = Refine_campaign.Experiment
@@ -276,7 +271,7 @@ let obs_counter_names =
    bleed into the trajectory point *)
 let capture_obs_counters () = List.map (fun n -> (n, sum_counter n)) obs_counter_names
 
-let write_obs_json ?live ?detach counters cells campaign_wall =
+let write_obs_json ?live counters cells campaign_wall =
   let buf = Buffer.create 1024 in
   let pinfi = Rep.timing_total (tool_timing cells T.Pinfi) in
   Buffer.add_string buf "{\n";
@@ -305,21 +300,11 @@ let write_obs_json ?live ?detach counters cells campaign_wall =
         (Printf.sprintf "    \"%s\": %Ld%s\n" name v
            (if i < List.length counters - 1 then "," else "")))
     counters;
-  let fragments =
-    (match detach with Some f -> [ ("detach", f) ] | None -> [])
-    @ (match live with Some f -> [ ("live", f) ] | None -> [])
-  in
-  (match fragments with
-  | [] -> Buffer.add_string buf "  }\n}\n"
-  | fs ->
+  (match live with
+  | None -> Buffer.add_string buf "  }\n}\n"
+  | Some fragment ->
     Buffer.add_string buf "  },\n";
-    List.iteri
-      (fun i (name, fragment) ->
-        Buffer.add_string buf
-          (Printf.sprintf "  \"%s\": %s%s\n" name fragment
-             (if i < List.length fs - 1 then "," else "")))
-      fs;
-    Buffer.add_string buf "}\n");
+    Buffer.add_string buf (Printf.sprintf "  \"live\": %s\n}\n" fragment));
   let oc = open_out "BENCH_obs.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;
@@ -637,60 +622,6 @@ let decode_section () =
     exit 1
   end
 
-(* ---- post-injection detach probe (DESIGN.md Â§20) -------------------------
-   The same fixed-seed DC+EP x 3-tool campaign runs with detach off and
-   on; the outcome tables (counts and summed modeled cost) must be
-   bit-identical, and the execute-time REFINE/PINFI ratio with detach on
-   is the paper's â1.2x claim measured wall-clock rather than modeled.
-   Returns the JSON fragment embedded in BENCH_obs.json. *)
-
-let detach_section () =
-  section "Post-injection detach (detach-off vs detach-on wall time)";
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (Unix.gettimeofday () -. t0, v)
-  in
-  let progs = [ "DC"; "EP" ] in
-  let srcs = List.map (fun nm -> (nm, (Reg.find nm).Reg.source)) progs in
-  let n = min samples 300 in
-  let key (c : E.cell) = (c.E.program, T.kind_name c.E.tool, c.E.counts, c.E.injection_cost) in
-  let leg () =
-    T.reset_artifact_caches ();
-    timed (fun () -> E.run_matrix ~samples:n ~seed srcs Rep.tools)
-  in
-  T.use_detach := false;
-  let off_s, off_cells = leg () in
-  T.use_detach := true;
-  let on_s, on_cells = leg () in
-  let exec_total tool cells =
-    List.fold_left
-      (fun acc program -> acc +. (E.find_cell cells ~program ~tool).E.timing.E.execute_s)
-      0.0 progs
-  in
-  let ratio cells =
-    let pinfi = exec_total T.Pinfi cells in
-    if pinfi > 0.0 then exec_total T.Refine cells /. pinfi else 0.0
-  in
-  let off_ratio = ratio off_cells and on_ratio = ratio on_cells in
-  let identical = List.map key off_cells = List.map key on_cells in
-  Printf.printf "campaign (%s x 3 tools x %d): detach off %.2fs, on %.2fs (%.2fx)\n"
-    (String.concat "+" progs) n off_s on_s
-    (if on_s > 0.0 then off_s /. on_s else 0.0);
-  Printf.printf "REFINE execute time vs PINFI: %.2fx attached, %.2fx detached (paper: ~1.2x)\n"
-    off_ratio on_ratio;
-  Printf.printf "outcome tables: %s\n"
-    (if identical then "bit-identical detach on vs off" else "MISMATCH detach on vs off");
-  if not identical then begin
-    Printf.printf "[detach probe: DETERMINISM VIOLATION]\n";
-    exit 1
-  end;
-  Printf.sprintf
-    "{ \"samples\": %d, \"off_wall_s\": %.6f, \"on_wall_s\": %.6f, \
-     \"refine_vs_pinfi_attached\": %.4f, \"refine_vs_pinfi_detached\": %.4f, \
-     \"identical\": %b }"
-    n off_s on_s off_ratio on_ratio identical
-
 (* ---- Bechamel micro-benchmarks ------------------------------------------ *)
 
 let bechamel_section () =
@@ -721,8 +652,6 @@ let bechamel_section () =
                     steps = 0L;
                     cost = 0L;
                     truncated = false;
-                    detached = false;
-                    drain_steps = 0;
                   })));
       Test.make ~name:"figure5 compile-pipeline(DC)"
         (Staged.stage (fun () ->
@@ -1056,14 +985,11 @@ let () =
   if getenv_default "REFINE_DECODE" "1" <> "0" then decode_section ();
   if getenv_default "REFINE_SHARD" "1" <> "0" then shard_section ();
   if getenv_default "REFINE_FAULTMODELS" "1" <> "0" then faultmodels_section ();
-  let detach =
-    if getenv_default "REFINE_DETACH" "1" <> "0" then Some (detach_section ()) else None
-  in
   let live =
     if obs && getenv_default "REFINE_LIVE" "1" <> "0" then Some (live_section ()) else None
   in
   (match obs_counters with
-  | Some counters -> write_obs_json ?live ?detach counters cells campaign_wall
+  | Some counters -> write_obs_json ?live counters cells campaign_wall
   | None -> ());
   if getenv_default "REFINE_EXTENSIONS" "1" <> "0" then extensions_section ();
   if getenv_default "REFINE_BECHAMEL" "1" <> "0" then bechamel_section ();

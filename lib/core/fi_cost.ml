@@ -16,17 +16,7 @@
    The unit is "one simulated machine instruction".  The constants below
    are calibration — the reproduced claim is the overhead *structure*, and
    the resulting ratios land in the paper's reported range (REFINE ~1.2x
-   PINFI, LLFI ~3-9x).
-
-   Since DESIGN.md §20 the *wall-clock* model matches this modeled
-   structure: a REFINE or LLFI sample runs attached only until its single
-   injection retires, then hands off to the golden snapshot (or a
-   branch-patched twin) and simulates the rest at golden speed, with
-   [refine_lib_call] / [llfi_lib_call] charged as per-slot cost weights so
-   the modeled trajectory stays bit-identical to the attached run at every
-   original-instruction boundary.  PINFI's detach was always modeled here
-   ([pin_attach_per_instr] stops accruing at the injection); §20 extends
-   the same lifecycle to the compiler-based tools' simulation itself. *)
+   PINFI, LLFI ~3-9x). *)
 
 (* tiny leaf call of the REFINE control library (selInstr / setupFI) *)
 let refine_lib_call = 6

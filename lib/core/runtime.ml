@@ -48,7 +48,7 @@ let should_fire ctrl =
    mutation right here at the trigger instance and answers 0, so the
    splice's register path stays cold — the trigger timing is identical,
    only the struck state differs (DESIGN.md §18). *)
-(* Fast-path bookkeeping (DESIGN.md §20): the decoded engine's fi-splice
+(* Fast-path bookkeeping (DESIGN.md §19): the decoded engine's fi-splice
    superinstruction may retire provably non-firing selector calls without
    entering this library, banking their dynamic counts in
    [eng.fi_sel_pending].  Fold those back before using [ctrl.count]. *)
@@ -88,12 +88,10 @@ let refine_sel_instr ctrl (eng : E.t) =
       | Fault.Reg_bit | Fault.Multi_bit _ -> eng.E.regs.(R.ret_gpr) <- 1L
       | Fault.Mem_cell ->
         ctrl.fired <- true;
-        eng.E.detach_req <- true;
         ctrl.record <- Some (Corrupt.mem_fault rng eng ~dyn_index:(Int64.of_int ctrl.count));
         eng.E.regs.(R.ret_gpr) <- 0L
       | Fault.Instr_image ->
         ctrl.fired <- true;
-        eng.E.detach_req <- true;
         let pc = Corrupt.instrumented_pc eng in
         ctrl.record <-
           Some (Corrupt.image_fault rng eng ~pc ~dyn_index:(Int64.of_int ctrl.count));
@@ -109,7 +107,6 @@ let refine_setup_fi ctrl (eng : E.t) =
   | Profile -> eng.E.regs.(R.ret_gpr) <- 0L
   | Inject { rng; model; _ } ->
     ctrl.fired <- true;
-    eng.E.detach_req <- true;
     let nops = Int64.to_int eng.E.regs.(R.gpr 1) in
     let sizes = eng.E.regs.(R.gpr 2) in
     let op = P.int rng (max 1 nops) in
@@ -141,7 +138,6 @@ let refine_handlers ctrl : (string * int * (E.t -> unit)) list =
    unchanged — the IR-level hook is only the trigger clock for them. *)
 let llfi_fire ctrl rng model (eng : E.t) (v : int64) : int64 =
   ctrl.fired <- true;
-  eng.E.detach_req <- true;
   let dyn_index = Int64.of_int ctrl.count in
   match model with
   | Fault.Reg_bit | Fault.Multi_bit _ ->
@@ -194,7 +190,6 @@ let llfi_inject_bool ctrl (eng : E.t) =
       match ctrl.mode with
       | Inject { rng; model; _ } -> (
         ctrl.fired <- true;
-        eng.E.detach_req <- true;
         let dyn_index = Int64.of_int ctrl.count in
         match model with
         | Fault.Reg_bit | Fault.Multi_bit _ ->

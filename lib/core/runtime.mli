@@ -30,7 +30,7 @@ val absorb : ctrl -> Refine_machine.Exec.t -> unit
 (** Fold selector calls the decoded engine's fi-splice fast path retired
     without entering the library ([Exec.fi_sel_pending]) back into
     [ctrl.count].  Must run after the engine run completes and before
-    [ctrl.count] is read (DESIGN.md §20); a no-op for engines that never
+    [ctrl.count] is read (DESIGN.md §19); a no-op for engines that never
     took the fast path. *)
 
 val refine_handlers : ctrl -> (string * int * (Refine_machine.Exec.t -> unit)) list

@@ -9,7 +9,6 @@
 
 module E = Refine_machine.Exec
 module P = Refine_support.Prng
-module Fimap = Refine_backend.Fimap
 module Pl = Refine_passes.Pipeline
 module Selection = Refine_passes.Selection
 module Artifact_cache = Refine_passes.Artifact_cache
@@ -175,10 +174,15 @@ let engine_cache : (int * E.t) option ref Domain.DLS.key =
    re-decode: a cached engine keeps its decoded program across [reset]
    (the decode is a property of the image, not of a sample), and a fresh
    engine installs the per-snapshot decode from the cache.  Settable off
-   ([--no-decode]) to force the legacy interpreter; outcome tables are
-   bit-identical either way (asserted by the differential decode suite). *)
+   (tests and the perfbench oracle) to force the legacy interpreter;
+   outcome tables are bit-identical either way (asserted by the
+   differential decode suite). *)
 
 let use_decode = ref true
+
+(* inert: kept only because perfbench/perfbench.ml still saves and
+   restores it around its reference oracle *)
+let use_detach = ref true
 
 let m_decode_hits =
   Obs.Metrics.counter ~help:"decoded-program cache hits" "refine_decode_cache_hits_total"
@@ -226,82 +230,6 @@ let decoded_for ~snap_id ~image =
       dp
   end
 
-(* ---- post-injection detach (DESIGN.md §20) ----------------------------
-
-   REFINE and LLFI keep paying their compiled-in per-instruction FI tax
-   after the single injection has retired, while PINFI detaches — the
-   structural reason BENCH_obs.json showed REFINE at ~4.4x PINFI against
-   the paper's ~1.2x claim.  The fix mirrors PINFI's detach at the
-   campaign layer: [prepare] builds a *detach target* next to each
-   REFINE/LLFI binary — an uninstrumented (or branch-patched) twin decoded
-   with attached-equivalent cost weights — and [run_injection] arms
-   [Exec.run] with a handoff plan, so once the injection fires the sample
-   transfers onto the target and the rest of the run retires at decoded
-   golden speed with bit-identical modeled cost at every original-
-   instruction boundary.
-
-   Target flavors:
-   - REFINE map mode: the golden image from the FI-free pipeline (built
-     once per (program, pipeline) in the "detach-golden" artifact tier,
-     shared across selections and cells) plus the [Fimap] correspondence
-     map; the handoff drains to an original-instruction boundary and
-     translates pc and live return addresses.
-   - REFINE patch mode (fallback, or [force_detach_fallback]): the
-     instrumented image with every splice head branch-patched to fall
-     through — shared coordinates, plain state blit.
-   - LLFI patch mode: the instrumented image with each [llfi_inject_*]
-     call replaced by the move its post-injection semantics reduce to —
-     step- and state-exact at every instant, so it stays eligible even
-     under the livelock detector and Instr_image overlays.
-
-   Eligibility is decided per sample by [detach_plan_for]; every
-   ineligible or declined case simply runs attached — detach is an
-   optimization, never a semantics change. *)
-
-let use_detach = ref true
-
-(* test hook: skip the correspondence map and use the branch-patched
-   fallback target even when the map parses *)
-let force_detach_fallback = ref false
-
-type detach_target = {
-  dt_image : Refine_backend.Layout.image;
-  dt_snap : E.snapshot;
-  dt_snap_id : int;
-  dt_dprog : E.dprogram; (* decoded with attached-equivalent cost weights *)
-  dt_map : E.handoff_map option; (* Some = golden coordinates; None = shared *)
-}
-
-let m_detach_drain =
-  Obs.Metrics.histogram ~help:"instructions single-stepped to reach the handoff boundary"
-    ~buckets:[| 0.; 2.; 4.; 8.; 16.; 32.; 64.; 256.; 1024.; 4096. |]
-    "refine_detach_drain_steps"
-
-let note_detach kind ~mode =
-  Obs.Metrics.inc
-    (Obs.Metrics.counter ~help:"post-injection handoffs to the detach target by mode"
-       ~labels:[ ("tool", kind_name kind); ("mode", mode) ]
-       "refine_detach_total")
-
-let note_detach_declined kind =
-  Obs.Metrics.inc
-    (Obs.Metrics.counter
-       ~help:"armed detach plans whose handoff was declined (ran attached to completion)"
-       ~labels:[ ("tool", kind_name kind) ]
-       "refine_detach_declined_total")
-
-(* flushed per sample after the run: a handoff that happened counts by
-   mode and records its drain latency; an armed plan that fired but never
-   handed off (validation declined it) counts as declined *)
-let note_detach_result kind ~armed ~mode ~fired (r : E.result) =
-  if Obs.Control.enabled () && armed then begin
-    if r.E.detached then begin
-      note_detach kind ~mode;
-      Obs.Metrics.observe m_detach_drain (float_of_int r.E.drain_steps)
-    end
-    else if fired then note_detach_declined kind
-  end
-
 let acquire ?(ext_extra = []) ~image ~snap ~snap_id () =
   let eng =
     if not !use_fast_path then E.create ~ext_extra image
@@ -325,34 +253,6 @@ let acquire ?(ext_extra = []) ~image ~snap ~snap_id () =
   else if E.decoded eng then E.install_decoded eng None;
   eng
 
-(* Detach targets get their own per-domain engine cell so arming a plan
-   never evicts the instrumented engine the sample is about to run on.
-   The weighted decode is per target (cost weights depend on the
-   selection), so the installed program is re-checked on every serve even
-   when the engine itself is a cache hit. *)
-let detach_engine_cache : (int * E.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let acquire_detach (dt : detach_target) =
-  let eng =
-    if not !use_fast_path then E.create dt.dt_image
-    else begin
-      let cell = Domain.DLS.get detach_engine_cache in
-      match !cell with
-      | Some (id, eng) when id = dt.dt_snap_id ->
-        E.reset eng;
-        eng
-      | _ ->
-        let eng = E.create_from_snapshot dt.dt_snap in
-        cell := Some (dt.dt_snap_id, eng);
-        eng
-    end
-  in
-  (match eng.E.dprog with
-  | Some dp when dp == dt.dt_dprog -> ()
-  | _ -> E.install_decoded eng (Some dt.dt_dprog));
-  eng
-
 type prepared = {
   kind : kind;
   sel : Selection.t;
@@ -361,9 +261,6 @@ type prepared = {
   snap_id : int; (* unique id keying the per-domain engine cache *)
   profile : Fault.profile;
   static_instrumented : int; (* instrumented sites (REFINE/LLFI); 0 for PINFI *)
-  detach : detach_target option;
-      (* post-injection handoff target (DESIGN.md §20); None for PINFI
-         (it detaches natively) and for chaos builds *)
 }
 
 exception Prepare_error of string
@@ -461,158 +358,8 @@ let build_ir ?(pipeline = default_pipeline) ?(cache = true) ?(verify_each = fals
       m
   end
 
-(* ---- detach targets (DESIGN.md §20) -----------------------------------
-
-   The golden twin for REFINE's map-mode detach: the same source pushed
-   through the same pipeline with every FI pass filtered out.  Built once
-   per (source, FI-free pipeline) in its own content-addressed tier — the
-   fourth next to ir/prepared/decoded — and shared across tools,
-   selections and repeated cells; the fingerprint covers the emitted code
-   array, so a mutated golden image invalidates instead of serving a map
-   whose coordinates no longer mean anything. *)
-
-type detach_golden = {
-  g_image : Refine_backend.Layout.image;
-  g_snap : E.snapshot;
-  g_snap_id : int; (* stable id: keys the per-domain detach engine cell *)
-}
-
-let detach_cache : detach_golden Artifact_cache.t =
-  Artifact_cache.create ~name:"detach-golden"
-    ~fingerprint:(fun g ->
-      Digest.string (Marshal.to_string g.g_image.Refine_backend.Layout.code []))
-    ()
-
-let detach_cache_stats () = Artifact_cache.stats detach_cache
-
-let strip_fi_passes (spec : Pl.spec) =
-  {
-    spec with
-    Pl.ir = List.filter (fun n -> not (is_fi_pass n)) spec.Pl.ir;
-    Pl.mir = List.filter (fun n -> not (is_fi_pass n)) spec.Pl.mir;
-  }
-
-(* [ir]: the caller's already-optimized IR module.  When stripping the FI
-   passes leaves the IR stage unchanged (REFINE instruments at the MIR
-   level), that module IS the golden IR — reusing it skips a redundant
-   compile invocation, and the golden build reduces to isel + FI-free MIR
-   passes + layout. *)
-let golden_for ~full ~ctx ~cache ?phases ?ir src : detach_golden =
-  let gspec = strip_fi_passes full in
-  let build () =
-    let gm =
-      match ir with
-      | Some m when gspec.Pl.ir = full.Pl.ir -> m
-      | _ -> build_ir ~pipeline:gspec ~cache ?phases src
-    in
-    let out = Pl.run ~ctx ?phases { gspec with Pl.ir = [] } gm in
-    match out.Pl.image with
-    | Some image ->
-      { g_image = image; g_snap = E.snapshot image; g_snap_id = Atomic.fetch_and_add next_snap_id 1 }
-    | None -> raise (Prepare_error "golden (FI-free) pipeline did not produce an image")
-  in
-  if not (cache && !Artifact_cache.enabled) then build ()
-  else begin
-    let key = Artifact_cache.key [ "detach-golden"; src; Pl.print gspec ] in
-    match Artifact_cache.find detach_cache key with
-    | Some g -> g
-    | None ->
-      let g = build () in
-      Artifact_cache.add detach_cache key g;
-      g
-  end
-
-(* the post-injection semantics of each LLFI runtime call: identity on the
-   instrumented value (r2 -> r0 for i64/i1, f1 -> f0 for f64), carrying
-   the call's modeled cost so the detached cost trajectory stays
-   attached-identical *)
-let llfi_patch_table =
-  let module R = Refine_mir.Reg in
-  [
-    ("llfi_inject_i64", M.Mmov (R.ret_gpr, M.Reg (R.gpr 2)), Fi_cost.llfi_lib_call);
-    ("llfi_inject_f64", M.Mmov (R.ret_fpr, M.Reg (R.fpr 1)), Fi_cost.llfi_lib_call);
-    ("llfi_inject_i1", M.Mmov (R.ret_gpr, M.Reg (R.gpr 2)), Fi_cost.llfi_lib_call);
-  ]
-
-let target_of_image ?map image cost_w =
-  {
-    dt_image = image;
-    dt_snap = E.snapshot image;
-    dt_snap_id = Atomic.fetch_and_add next_snap_id 1;
-    dt_dprog = E.decode ~cost_of:cost_w image;
-    dt_map = map;
-  }
-
-let refine_fallback_target image =
-  match Fimap.patch_refine ~lib_call_cost:Fi_cost.refine_lib_call image with
-  | None -> None (* splices do not parse: run attached forever *)
-  | Some (patched, m) ->
-    (* the masked identity map routes the handoff through the map-mode
-       drain: a poll that fires mid-splice steps attached to the next
-       boundary instead of carrying a partially-executed splice onto the
-       patched copy (where the head branch would skip its remainder) *)
-    let map = { E.h_rank = m.Fimap.rank_of_pc; h_next = m.Fimap.next_rank } in
-    Some (target_of_image ~map patched m.Fimap.cost_w)
-
-let build_detach ~full ~ctx ~cache ?phases ?ir (kind : kind) image src : detach_target option =
-  match kind with
-  | Pinfi -> None (* PINFI's cost model already detaches (Fi_cost) *)
-  | Llfi ->
-    let patched, cost_w = Fimap.patch_calls ~table:llfi_patch_table image in
-    Some (target_of_image patched cost_w)
-  | Refine ->
-    if !force_detach_fallback || not (Fimap.map_eligible image) then
-      (* call-site candidates (or an unparseable image) cannot use map
-         mode — go straight to the fallback without building a golden *)
-      refine_fallback_target image
-    else begin
-      let golden = golden_for ~full ~ctx ~cache ?phases ?ir src in
-      match Fimap.build ~lib_call_cost:Fi_cost.refine_lib_call image golden.g_image with
-      | Some m ->
-        Some
-          {
-            dt_image = golden.g_image;
-            dt_snap = golden.g_snap;
-            dt_snap_id = golden.g_snap_id;
-            dt_dprog = E.decode ~cost_of:m.Fimap.cost_w golden.g_image;
-            dt_map = Some { E.h_rank = m.Fimap.rank_of_pc; h_next = m.Fimap.next_rank };
-          }
-      | None -> refine_fallback_target image
-    end
-
-(* Per-sample eligibility (the decline matrix of DESIGN.md §20).  The
-   handoff itself can still decline at run time (drain cap, shadow-stack
-   mismatch, budget edge); everything here is knowable before the run. *)
-let detach_plan_for ~(quotas : quotas) (p : prepared) (model : Fault.model) :
-    E.detach_plan option =
-  if not (!use_detach && !use_decode) then None
-  else
-    match p.detach with
-    | None -> None
-    | Some dt ->
-      let model_ok =
-        match (p.kind, model) with
-        (* a REFINE Instr_image overlay lands in instrumented coordinates
-           (possibly on a spliced pc): meaningless on the golden image and
-           able to re-enter a splice on the patched one *)
-        | Refine, Fault.Instr_image -> false
-        | _ -> true
-      in
-      let livelock_ok =
-        match quotas.livelock_window with
-        (* LLFI patch targets retire 1:1 steps with identical register
-           state, so fingerprint instants and verdicts are unchanged;
-           REFINE targets retire fewer steps post-handoff and would shift
-           the fingerprint cadence *)
-        | Some _ -> p.kind = Llfi
-        | None -> true
-      in
-      if model_ok && livelock_ok then
-        Some { E.plan_target = (fun () -> acquire_detach dt); plan_map = dt.dt_map }
-      else None
-
-let finish_profile kind sel image snap snap_id static_instrumented ~detach (count : int)
-    (r : E.result) =
+let finish_profile kind sel image snap snap_id static_instrumented (count : int) (r : E.result)
+    =
   (match r.status with
   | E.Exited 0 -> ()
   | E.Exited c -> raise (Prepare_error (Printf.sprintf "profiling run exited with code %d" c))
@@ -625,7 +372,6 @@ let finish_profile kind sel image snap snap_id static_instrumented ~detach (coun
     snap;
     snap_id;
     static_instrumented;
-    detach;
     profile =
       {
         Fault.golden_output = r.output;
@@ -635,16 +381,10 @@ let finish_profile kind sel image snap snap_id static_instrumented ~detach (coun
       };
   }
 
-(* fingerprint of the emitted code arrays — the binary's own and its
-   detach target's: a prepared entry whose image (or whose handoff
-   target's image) was mutated after caching must never be served again *)
+(* fingerprint of the emitted code array: a prepared binary whose image
+   was mutated after caching must never be served again *)
 let image_fingerprint (p : prepared) =
-  let detach_code =
-    match p.detach with
-    | None -> [||]
-    | Some dt -> dt.dt_image.Refine_backend.Layout.code
-  in
-  Digest.string (Marshal.to_string (p.image.Refine_backend.Layout.code, detach_code) [])
+  Digest.string (Marshal.to_string p.image.Refine_backend.Layout.code [])
 
 let prepared_cache : prepared Artifact_cache.t =
   Artifact_cache.create ~name:"prepared" ~fingerprint:image_fingerprint ()
@@ -653,7 +393,6 @@ let reset_artifact_caches () =
   Artifact_cache.clear ir_cache;
   Artifact_cache.clear prepared_cache;
   Artifact_cache.clear decoded_cache;
-  Artifact_cache.clear detach_cache;
   Atomic.set compile_invocation_count 0
 
 let ir_cache_stats () = Artifact_cache.stats ir_cache
@@ -661,6 +400,10 @@ let ir_cache_stats () = Artifact_cache.stats ir_cache
 let prepared_cache_stats () = Artifact_cache.stats prepared_cache
 
 let decoded_cache_stats () = Artifact_cache.stats decoded_cache
+
+(* inert: kept only because perfbench/perfbench.ml still reports it *)
+let detach_cache_stats () =
+  { Artifact_cache.hits = 0; misses = 0; invalidations = 0; entries = 0 }
 
 (* [phases] buckets wall-clock time into the overhead-breakdown columns
    (instrument / compile / execute); the profiling runs count as execute.
@@ -685,9 +428,9 @@ let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cac
     | Refine_ir.Verify.Invalid msg -> raise (Quarantine ("ir-verifier", msg))
   in
   (* first run becomes the golden profile; the second must agree with it *)
-  let finish_and_check static_n image snap snap_id ~detach profile_once =
+  let finish_and_check static_n image snap snap_id profile_once =
     let count1, r1 = profile_once () in
-    let p = finish_profile kind sel image snap snap_id static_n ~detach count1 r1 in
+    let p = finish_profile kind sel image snap snap_id static_n count1 r1 in
     let count2, r2 = profile_once () in
     let out2 = if chaos.flaky_golden then r2.E.output ^ "#chaos" else r2.E.output in
     let exit2 = match r2.E.status with E.Exited c -> c | _ -> min_int in
@@ -722,12 +465,6 @@ let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cac
   in
   let static_n = out.Pl.fi_sites in
   let snap = E.snapshot image and snap_id = Atomic.fetch_and_add next_snap_id 1 in
-  (* chaos builds mutate instrumented code: their images must never seed a
-     detach target (nor touch the shared detach-golden tier) *)
-  let detach =
-    if chaos.break_mir || chaos.flaky_golden then None
-    else build_detach ~full ~ctx ~cache ?phases ~ir:m kind image src
-  in
   let profile_once () =
     match kind with
     | Refine ->
@@ -756,7 +493,7 @@ let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cac
       flush_obs kind eng ~fi_hits:ctrl.Pinfi.count ~run_cost:r.E.cost;
       (ctrl.Pinfi.count, r)
   in
-  finish_and_check static_n image snap snap_id ~detach profile_once
+  finish_and_check static_n image snap snap_id profile_once
 
 let prepare ?phases ?(sel = Selection.default) ?(pipeline = default_pipeline)
     ?(max_steps = 2_000_000_000L) ?(verify_mir = true) ?(verify_each = false)
@@ -818,22 +555,13 @@ let run_injection ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
       | Some c when Int64.compare c timeout < 0 -> (c, true)
       | _ -> (timeout, false)
     in
-    let sandboxed_run ?detach eng =
+    let sandboxed_run eng =
       E.run ~max_cost
         ?output_quota:(effective_output_quota quotas p.profile)
         ?heap_quota:quotas.heap_bytes ?wall_clock:quotas.wall_clock_s ~clock:Obs.Control.now
-        ?livelock:quotas.livelock_window ?poll ?detach eng
+        ?livelock:quotas.livelock_window ?poll eng
     in
     note_injection p.kind model;
-    (* post-injection handoff plan (DESIGN.md §20), when tool/model/quota
-       eligibility allows; [None] simply runs attached *)
-    let plan = detach_plan_for ~quotas p model in
-    let detach_mode =
-      match p.detach with
-      | Some { dt_map = Some _; _ } -> "map"
-      | Some { dt_map = None; _ } -> "patch"
-      | None -> "none"
-    in
     let mode = Runtime.Inject { target; rng; model } in
     let r, record =
       match p.kind with
@@ -844,11 +572,9 @@ let run_injection ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
             ~snap_id:p.snap_id ()
         in
         maybe_profile eng;
-        let r = sandboxed_run ?detach:plan eng in
+        let r = sandboxed_run eng in
         Runtime.absorb ctrl eng;
         flush_obs p.kind eng ~fi_hits:ctrl.Runtime.count ~run_cost:r.E.cost;
-        note_detach_result p.kind ~armed:(Option.is_some plan) ~mode:detach_mode
-          ~fired:ctrl.Runtime.fired r;
         (r, ctrl.Runtime.record)
       | Llfi ->
         let ctrl = Runtime.create mode in
@@ -857,11 +583,9 @@ let run_injection ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
             ~snap_id:p.snap_id ()
         in
         maybe_profile eng;
-        let r = sandboxed_run ?detach:plan eng in
+        let r = sandboxed_run eng in
         Runtime.absorb ctrl eng;
         flush_obs p.kind eng ~fi_hits:ctrl.Runtime.count ~run_cost:r.E.cost;
-        note_detach_result p.kind ~armed:(Option.is_some plan) ~mode:detach_mode
-          ~fired:ctrl.Runtime.fired r;
         (r, ctrl.Runtime.record)
       | Pinfi ->
         let ctrl = Pinfi.create ~sel:p.sel mode in

@@ -53,48 +53,14 @@ val use_decode : bool ref
     the pre-decoded program for their snapshot (DESIGN.md §19): per-pc
     dispatch closures with fused superinstructions, decoded once per
     snapshot and served from a content-addressed cache tier.  Set to
-    [false] ([refinec --no-decode]) to force the legacy per-opcode match
-    interpreter; outcome tables are bit-identical either way (asserted by
-    the differential decode suite). *)
-
-(** {1 Post-injection detach (DESIGN.md §20)} *)
+    [false] (tests, and the perfbench reference oracle) to force the
+    legacy per-opcode match interpreter; outcome tables are bit-identical
+    either way (asserted by the differential decode suite). *)
 
 val use_detach : bool ref
-(** When [true] (the default), REFINE and LLFI samples hand off to their
-    prepared detach target once the single injection has retired: the
-    architectural state transfers onto an engine built from the
-    uninstrumented (or branch-patched) twin, decoded with
-    attached-equivalent cost weights, and the rest of the run retires at
-    golden speed with zero per-instruction FI tax — the same detach the
-    paper's PINFI performs (§5.2).  Set to [false] ([refinec --no-detach])
-    to run every sample attached to completion; fixed-seed outcome tables
-    are bit-identical either way (asserted by the differential detach
-    suite). *)
-
-val force_detach_fallback : bool ref
-(** Test hook: build the branch-patched fallback target (shared
-    coordinates, no correspondence map) even when the map parses —
-    exercises the overlay-fallback handoff path. *)
-
-type detach_target = {
-  dt_image : Refine_backend.Layout.image;
-      (** the golden twin (map mode) or the branch-patched instrumented
-          image (patch mode) *)
-  dt_snap : Refine_machine.Exec.snapshot;
-  dt_snap_id : int;  (** keys the per-domain detach engine cell *)
-  dt_dprog : Refine_machine.Exec.dprogram;
-      (** decoded with the attached-equivalent per-pc cost weights *)
-  dt_map : Refine_machine.Exec.handoff_map option;
-      (** [Some] = golden coordinates (drain + translate); [None] =
-          shared coordinates (plain state blit) *)
-}
-(** A prepared handoff target.  REFINE map mode shares the golden image
-    through the "detach-golden" artifact tier (one build per (source,
-    FI-free pipeline), shared across tools, selections and cells). *)
-
-val acquire_detach : detach_target -> Refine_machine.Exec.t
-(** A reset engine for the target from the per-domain detach engine cell
-    (or a fresh one), with the target's weighted decode installed. *)
+(** Inert: has no effect on any run.  Kept only because
+    [perfbench/perfbench.ml] saves and restores it around its reference
+    oracle; remove together with that use. *)
 
 type prepared = {
   kind : kind;
@@ -105,22 +71,9 @@ type prepared = {
   snap_id : int;  (** unique id keying the per-domain engine cache *)
   profile : Fault.profile;  (** golden output + dynamic target count *)
   static_instrumented : int;  (** instrumentation sites; 0 for PINFI *)
-  detach : detach_target option;
-      (** post-injection handoff target; [None] for PINFI (its cost model
-          already detaches) and for chaos builds *)
 }
 (** A tool's binary after compilation and one profiling run.  The same
     binary serves profiling and injection, as in the paper. *)
-
-val detach_plan_for :
-  quotas:quotas -> prepared -> Fault.model -> Refine_machine.Exec.detach_plan option
-(** Per-sample eligibility (the decline matrix of DESIGN.md §20): [None]
-    when detach or decode is switched off, the tool has no target, the
-    model strikes state the target cannot carry (REFINE + Instr_image),
-    or the livelock detector is armed for a tool whose target is not
-    step-exact (REFINE).  The returned plan can still decline at run time
-    (drain cap, shadow-stack mismatch, budget edge) — every declined path
-    runs attached with identical semantics. *)
 
 exception Prepare_error of string
 (** Raised when the profiling run fails (the program itself is broken). *)
@@ -186,13 +139,11 @@ val decoded_cache_stats : unit -> Refine_passes.Artifact_cache.stats
     keyed by snapshot id, fingerprinted over the instruction array. *)
 
 val detach_cache_stats : unit -> Refine_passes.Artifact_cache.stats
-(** The detach-golden tier (DESIGN.md §20): one golden image + snapshot
-    per (source, FI-free pipeline), fingerprinted over the emitted code —
-    a mutated golden image invalidates instead of serving a map whose
-    coordinates no longer hold. *)
+(** Inert: always all-zero stats.  Kept only because
+    [perfbench/perfbench.ml] reports it; remove together with that use. *)
 
 val reset_artifact_caches : unit -> unit
-(** Drop all four cache tiers and zero {!compile_invocations} (test/bench
+(** Drop all three cache tiers and zero {!compile_invocations} (test/bench
     isolation). *)
 
 val prepare :

@@ -122,16 +122,12 @@ type t = {
   mutable d_max_steps : int; (* current run's budgets, re-tested between *)
   mutable d_max_cost : int; (*  fused constituents exactly like the legacy
                                 while-condition *)
-  mutable detach_req : bool;
-      (* set by the FI control library when the single injection has
-         retired; [run] hands off to the detach plan's golden engine at
-         the next poll slot (DESIGN.md §20) *)
   mutable handler_cost : int array;
       (* declared modeled cost per extern slot, parallel to [handlers]
          (rebuilt together) — lets the fi-splice fast path charge a
          skipped selector call exactly *)
   mutable fi_sel_skip : int;
-      (* FI-selector fast-path window (DESIGN.md §20): how many upcoming
+      (* FI-selector fast-path window (DESIGN.md §19): how many upcoming
          [fi_sel_instr] calls are provably non-firing.  Published by the
          REFINE control library after every real selector call; consumed
          one per splice by the fused fi-splice closure, which then
@@ -142,11 +138,6 @@ type t = {
          ran; the library folds them into its own dynamic counter on the
          next real call, and [Runtime.absorb] folds the remainder after
          the run — so counts and fault records never see a stale total *)
-  mutable cs_slots : int array;
-      (* shadow call stack: per live [Mcalli] frame, the stack slot that
-         holds the pushed return address... *)
-  mutable cs_vals : int64 array; (* ...and the value pushed into it *)
-  mutable cs_len : int;
   snap : Bytes.t option; (* pristine memory to blit on [reset] *)
 }
 
@@ -168,32 +159,7 @@ type result = {
   steps : int64;
   cost : int64;
   truncated : bool; (* output was cut at the quota; never a golden match *)
-  detached : bool; (* the run handed off to its detach plan's golden engine *)
-  drain_steps : int; (* attached steps executed to reach a mapped handoff pc *)
 }
-
-(* --- post-injection detach (DESIGN.md §20) ----------------------------- *)
-
-type handoff_map = {
-  h_rank : int array; (* instrumented pc -> golden pc; -1 inside splices *)
-  h_next : int array;
-      (* instrumented pc -> first golden rank at-or-after (return-address
-         translation); length n+1, -1 past the last original instruction *)
-}
-
-type detach_plan = {
-  plan_target : unit -> t;
-      (* acquire the golden/patched engine (reset, decode installed);
-         called at most once, only if the handoff goes ahead *)
-  plan_map : handoff_map option;
-      (* [Some] = golden-map mode (state transfer + pc/return-address
-         translation); [None] = same-coordinates branch-patched fallback *)
-}
-
-exception Detach_signal
-(* raised by the poll-slot check when [detach_req] is set and a plan is
-   armed; [run] catches it, attempts the handoff, and continues on the
-   winning engine *)
 
 (* sentinel return address that terminates the program when popped *)
 let sentinel = -1L
@@ -438,13 +404,9 @@ let make ~(ext_extra : (string * int * (t -> unit)) list) (image : L.image) mem 
       d_check = no_check;
       d_max_steps = max_int;
       d_max_cost = max_int;
-      detach_req = false;
       handler_cost = [||];
       fi_sel_skip = 0;
       fi_sel_pending = 0;
-      cs_slots = Array.make 64 0;
-      cs_vals = Array.make 64 0L;
-      cs_len = 0;
       snap;
     }
   in
@@ -497,38 +459,13 @@ let reset ?(ext_extra = []) (t : t) : unit =
   t.d_check <- no_check;
   t.d_max_steps <- max_int;
   t.d_max_cost <- max_int;
-  t.detach_req <- false;
   t.fi_sel_skip <- 0;
   t.fi_sel_pending <- 0;
-  t.cs_len <- 0;
   Hashtbl.reset t.ext_extra;
   List.iter (fun (name, cost, fn) -> Hashtbl.replace t.ext_extra name (cost, fn)) ext_extra;
   t.handlers <- bind_handlers t
 
 (* --- single step -------------------------------------------------------- *)
-
-(* Shadow call stack: record, per [Mcalli], the stack slot the return
-   address was pushed into and the value pushed.  Handoff to a golden-map
-   detach target validates every live entry against memory and rewrites
-   the slot to the translated golden pc; a mismatch (a fault struck a
-   stored return address or rsp) declines the handoff instead of
-   transferring a wrong frame.  Two int-array writes per call on the hot
-   path; the arrays only grow (by doubling) past 64 live frames. *)
-let[@inline] cs_push (t : t) slot v =
-  let n = t.cs_len in
-  (if n >= Array.length t.cs_slots then begin
-     let cap = Array.length t.cs_slots in
-     let ns = Array.make (2 * cap) 0 and nv = Array.make (2 * cap) 0L in
-     Array.blit t.cs_slots 0 ns 0 cap;
-     Array.blit t.cs_vals 0 nv 0 cap;
-     t.cs_slots <- ns;
-     t.cs_vals <- nv
-   end);
-  Array.unsafe_set t.cs_slots n slot;
-  Array.unsafe_set t.cs_vals n v;
-  t.cs_len <- n + 1
-
-let[@inline] cs_pop (t : t) = if t.cs_len > 0 then t.cs_len <- t.cs_len - 1
 
 let opd (t : t) = function M.Reg r -> t.regs.(r) | M.Imm v -> v
 
@@ -590,9 +527,7 @@ let exec_instr (t : t) pc0 (i : M.t) =
        | M.Mpushf -> push t t.regs.(R.flags)
        | M.Mpopf -> t.regs.(R.flags) <- pop t
        | M.Mcalli target ->
-         let ra = Int64.of_int t.pc in
-         push t ra;
-         cs_push t (Int64.to_int t.regs.(R.rsp)) ra;
+         push t (Int64.of_int t.pc);
          t.pc <- target
        | M.Mcall name -> raise (Halt_trap (Extern_fault ("unresolved call " ^ name)))
        | M.Mcallext name ->
@@ -601,7 +536,6 @@ let exec_instr (t : t) pc0 (i : M.t) =
          if slot >= 0 then t.handlers.(slot) t else do_callext t name
        | M.Mret ->
          let ra = pop t in
-         cs_pop t;
          if ra = sentinel then t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr))
          else begin
            let target = Int64.to_int ra in
@@ -676,7 +610,7 @@ let step (t : t) =
      executes can install an overlay or a DBI hook mid-fusion;
    - the dispatch loop falls back to the legacy [step] while a [post_hook]
      is attached (PINFI / tracing observe per-instruction semantics, and
-     decoded dispatch resumes the moment the hook detaches itself) and
+     decoded dispatch resumes the moment the hook removes itself) and
      routes the overlaid pc through the overlay decode.
 
    Decoded closures capture no engine: a [dprogram] is immutable and
@@ -704,14 +638,10 @@ let[@inline always] dstore64 t addr v =
 let[@inline always] rc (t : t) = if t.steps land 1023 = 0 then t.d_check ()
 
 (* per-constituent accounting, identical to [exec_instr]'s prologue with
-   the opcode class [k] and the slot's cost weight [cw] baked in at decode
-   time.  [cw] is 1 for plain code; detach-target images carry the
-   attached-equivalent modeled cost of skipped instrumentation on the
-   surviving slots (DESIGN.md §20), so a detached run's cost trajectory
-   matches the attached run's at every original-instruction boundary. *)
-let[@inline always] account (t : t) k cw =
+   the opcode class [k] baked in at decode time *)
+let[@inline always] account (t : t) k =
   t.steps <- t.steps + 1;
-  t.cost <- t.cost + cw + t.hook_cost;
+  t.cost <- t.cost + 1 + t.hook_cost;
   match t.prof with
   | None -> ()
   | Some p -> p.class_steps.(k) <- p.class_steps.(k) + 1
@@ -765,9 +695,8 @@ let cc_fn (cc : M.cc) : int -> bool =
    unchecked array access; an operand outside the register file
    (impossible for layout output, and [Corrupt.mutate] clamps registers)
    falls back to the legacy [exec_instr]. *)
-let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
+let decode_one (image : L.image) (pc0 : int) (i : M.t) : dop =
   let k = image.L.class_of_pc.(pc0) in
-  let cw = match cost_of with None -> 1 | Some c -> c.(pc0) in
   let pc1 = pc0 + 1 in
   let code_len = Array.length image.L.code in
   let okr r = r >= 0 && r < R.num_regs in
@@ -775,49 +704,36 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   let via_legacy : dop =
    fun t ->
     exec_instr t pc0 i;
-    (* [exec_instr] charged weight 1; top up to the slot's weight — but
-       only when the instruction retired: attached, a trapping candidate
-       never reaches the instrumentation modeled by the extra weight, so
-       a trap must not pay for it either *)
-    (if cw > 1 then
-       match t.status with Running -> t.cost <- t.cost + (cw - 1) | _ -> ());
     rc t
   in
-  (* weighted slots always take the legacy route: the fast-path closures
-     charge [cw] before executing, which would over-charge a slot that
-     traps mid-instruction.  Weighted slots are rare (one per candidate
-     on a detach target, none on plain images), so this costs nothing on
-     the hot path. *)
-  if cw > 1 then via_legacy
-  else
   match i with
   | M.Mmov (d, M.Reg s) when okr d && okr s ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d (Array.unsafe_get t.regs s);
       rc t
   | M.Mmov (d, M.Imm v) when okr d ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d v;
       rc t
   | M.Mload (d, b, off) when okr d && okr b ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d (dload64 t (Int64.to_int (Array.unsafe_get t.regs b) + off));
       rc t
   | M.Mstore (s, b, off) when okr s && okr b ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       dstore64 t (Int64.to_int (Array.unsafe_get t.regs b) + off) (Array.unsafe_get t.regs s);
       rc t
   | M.Mloadidx (d, b, ix, off) when okr d && okr b && okr ix ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d
         (dload64 t
@@ -827,7 +743,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       rc t
   | M.Mstoreidx (s, b, ix, off) when okr s && okr b && okr ix ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       dstore64 t
         (Int64.to_int (Array.unsafe_get t.regs b)
@@ -838,7 +754,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Mlea (d, b, Some ix, off) when okr d && okr b && okr ix ->
     let offl = Int64.of_int off in
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d
         (Int64.add
@@ -848,7 +764,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Mlea (d, b, None, off) when okr d && okr b ->
     let offl = Int64.of_int off in
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d (Int64.add (Array.unsafe_get t.regs b) offl);
       rc t
@@ -863,55 +779,55 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       match (op : Refine_ir.Ir.ibinop) with
       | Add ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.add (Array.unsafe_get t.regs a) vb)
       | Sub ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.sub (Array.unsafe_get t.regs a) vb)
       | Mul ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.mul (Array.unsafe_get t.regs a) vb)
       | And ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.logand (Array.unsafe_get t.regs a) vb)
       | Or ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.logor (Array.unsafe_get t.regs a) vb)
       | Xor ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.logxor (Array.unsafe_get t.regs a) vb)
       | Shl ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.shift_left (Array.unsafe_get t.regs a) sh)
       | Lshr ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.shift_right_logical (Array.unsafe_get t.regs a) sh)
       | Ashr ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.shift_right (Array.unsafe_get t.regs a) sh)
       | Div ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           let va = Array.unsafe_get t.regs a in
           if vb = 0L then raise (Halt_trap Div_by_zero)
@@ -919,7 +835,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
           else fin t (Int64.div va vb)
       | Rem ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           let va = Array.unsafe_get t.regs a in
           if vb = 0L then raise (Halt_trap Div_by_zero)
@@ -929,58 +845,58 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       match (op : Refine_ir.Ir.ibinop) with
       | Add ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.add (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
       | Sub ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.sub (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
       | Mul ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.mul (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
       | And ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.logand (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
       | Or ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.logor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
       | Xor ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t (Int64.logxor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
       | Shl ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t
             (Int64.shift_left (Array.unsafe_get t.regs a)
                (Int64.to_int (Int64.logand (Array.unsafe_get t.regs rb) 63L)))
       | Lshr ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t
             (Int64.shift_right_logical (Array.unsafe_get t.regs a)
                (Int64.to_int (Int64.logand (Array.unsafe_get t.regs rb) 63L)))
       | Ashr ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           fin t
             (Int64.shift_right (Array.unsafe_get t.regs a)
                (Int64.to_int (Int64.logand (Array.unsafe_get t.regs rb) 63L)))
       | Div ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           let va = Array.unsafe_get t.regs a and vb = Array.unsafe_get t.regs rb in
           if vb = 0L then raise (Halt_trap Div_by_zero)
@@ -988,7 +904,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
           else fin t (Int64.div va vb)
       | Rem ->
         fun t ->
-          account t k cw;
+          account t k;
           t.pc <- pc1;
           let va = Array.unsafe_get t.regs a and vb = Array.unsafe_get t.regs rb in
           if vb = 0L then raise (Halt_trap Div_by_zero)
@@ -1002,73 +918,73 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     (match (op : Refine_ir.Ir.fbinop) with
     | Fadd ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         fin t (f64 (Array.unsafe_get t.regs a) +. f64 (Array.unsafe_get t.regs b))
     | Fsub ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         fin t (f64 (Array.unsafe_get t.regs a) -. f64 (Array.unsafe_get t.regs b))
     | Fmul ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         fin t (f64 (Array.unsafe_get t.regs a) *. f64 (Array.unsafe_get t.regs b))
     | Fdiv ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         fin t (f64 (Array.unsafe_get t.regs a) /. f64 (Array.unsafe_get t.regs b)))
   | M.Mfun (op, d, a) when okr d && okr a -> (
     match (op : Refine_ir.Ir.funop) with
     | Fneg ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         Array.unsafe_set t.regs d (b64 (-.f64 (Array.unsafe_get t.regs a)));
         rc t
     | Fsqrt ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         Array.unsafe_set t.regs d (b64 (sqrt (f64 (Array.unsafe_get t.regs a))));
         rc t
     | Fabs ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         Array.unsafe_set t.regs d (b64 (Float.abs (f64 (Array.unsafe_get t.regs a))));
         rc t)
   | M.Mcvt (Sitofp, d, a) when okr d && okr a ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d (b64 (Int64.to_float (Array.unsafe_get t.regs a)));
       rc t
   | M.Mcvt (Fptosi, d, a) when okr d && okr a ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d (Refine_ir.Interp.fptosi (f64 (Array.unsafe_get t.regs a)));
       rc t
   | M.Mcmp (a, M.Imm vb) when okr a ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       let fl = flags_of (Array.unsafe_get t.regs a) vb in
       Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
       rc t
   | M.Mcmp (a, M.Reg rb) when okr a && okr rb ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       let fl = flags_of (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb) in
       Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
       rc t
   | M.Mfcmp (a, b) when okr a && okr b ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       let va = f64 (Array.unsafe_get t.regs a) and vb = f64 (Array.unsafe_get t.regs b) in
       let fl =
@@ -1080,7 +996,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
   | M.Msetcc (cc, d) when okr d ->
     let test = cc_fn cc in
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs d
         (if test (Int64.to_int (Array.unsafe_get t.regs R.flags)) then 1L else 0L);
@@ -1089,7 +1005,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     match int_cc cc with
     | Some (mask, want) ->
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         let fl = Int64.to_int (Array.unsafe_get t.regs R.flags) in
         if (fl land mask <> 0) = want then t.pc <- target;
@@ -1097,36 +1013,36 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     | None ->
       let test = cc_fn cc in
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         if test (Int64.to_int (Array.unsafe_get t.regs R.flags)) then t.pc <- target;
         rc t)
   | M.Mjmp target ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- target;
       rc t
   | M.Mpush r when okr r ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       push t (Array.unsafe_get t.regs r);
       rc t
   | M.Mpop r when okr r ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       Array.unsafe_set t.regs r (pop t);
       rc t
   | M.Mpushf ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       push t t.regs.(R.flags);
       rc t
   | M.Mpopf ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       t.regs.(R.flags) <- pop t;
       rc t
@@ -1134,16 +1050,15 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     (* the return address is a decode-time constant: no box per call *)
     let ra = Int64.of_int pc1 in
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       push t ra;
-      cs_push t (Int64.to_int (Array.unsafe_get t.regs R.rsp)) ra;
       t.pc <- target;
       rc t
   | M.Mcall name ->
     let tr = Halt_trap (Extern_fault ("unresolved call " ^ name)) in
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       raise tr
   | M.Mcallext name ->
@@ -1152,22 +1067,21 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
     let slot = image.L.ext_slot_of_pc.(pc0) in
     if slot >= 0 then
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         t.handlers.(slot) t;
         rc t
     else
       fun t ->
-        account t k cw;
+        account t k;
         t.pc <- pc1;
         do_callext t name;
         rc t
   | M.Mret ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       let ra = pop t in
-      cs_pop t;
       if ra = sentinel then t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr))
       else begin
         let target = Int64.to_int ra in
@@ -1177,7 +1091,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       rc t
   | M.Mxorbit (d, s) when okr d && okr s ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       (if t.fi_mask <> 0L then begin
          Array.unsafe_set t.regs d (Int64.logxor (Array.unsafe_get t.regs d) t.fi_mask);
@@ -1191,7 +1105,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       rc t
   | M.Mxorbitmem (b, off, s) when okr b && okr s ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       let addr = Int64.to_int (Array.unsafe_get t.regs b) + off in
       let v = dload64 t addr in
@@ -1207,7 +1121,7 @@ let decode_one ?cost_of (image : L.image) (pc0 : int) (i : M.t) : dop =
       rc t
   | M.Mhalt ->
     fun t ->
-      account t k cw;
+      account t k;
       t.pc <- pc1;
       t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr));
       rc t
@@ -1241,17 +1155,16 @@ let compose2 next1 (f1 : dop) (f2 : dop) : dop =
 
 (* Hand-fused integer compare-branch: one closure, flags kept in a local,
    the cc as a decode-time FLAGS bit test. *)
-let fuse_pair2 ?(cw0 = 1) ?(cw1 = 1) (image : L.image) pc0 a (b : M.mopd) ~mask ~want ~tgt :
-    dop =
+let fuse_pair2 (image : L.image) pc0 a (b : M.mopd) ~mask ~want ~tgt : dop =
   let k0 = image.L.class_of_pc.(pc0) and k1 = image.L.class_of_pc.(pc0 + 1) in
   let pc1 = pc0 + 1 and pc2 = pc0 + 2 in
   let finish (t : t) fl =
     let s = t.steps in
-    let c2 = cw0 + cw1 + (2 * t.hook_cost) in
-    if s land 1023 <= 1021 && t.d_max_steps - s >= 2 && t.d_max_cost - t.cost >= c2 then begin
+    let dc = 1 + t.hook_cost in
+    if s land 1023 <= 1021 && t.d_max_steps - s >= 2 && t.d_max_cost - t.cost >= 2 * dc then begin
       (* batched: no poll slot or budget edge inside the pair *)
       t.steps <- s + 2;
-      t.cost <- t.cost + c2;
+      t.cost <- t.cost + (2 * dc);
       (match t.prof with
       | None -> ()
       | Some p ->
@@ -1262,12 +1175,12 @@ let fuse_pair2 ?(cw0 = 1) ?(cw1 = 1) (image : L.image) pc0 a (b : M.mopd) ~mask 
     end
     else begin
       (* constituent-exact slow path across the boundary/edge *)
-      account t k0 cw0;
+      account t k0;
       t.pc <- pc1;
       Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
       rc t;
       if d_live t then begin
-        account t k1 cw1;
+        account t k1;
         t.pc <- pc2;
         if (fl land mask <> 0) = want then t.pc <- tgt;
         rc t
@@ -1290,17 +1203,15 @@ let fuse_pair2 ?(cw0 = 1) ?(cw1 = 1) (image : L.image) pc0 a (b : M.mopd) ~mask 
    boundary iteration goes through the constituent-exact path, firing the
    poll check at exactly the legacy step count with exactly the legacy
    architectural state. *)
-let fuse_loop3 ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0 a (b : M.mopd) ~mask
-    ~want ~tgt ~jt ~spin : dop =
+let fuse_loop3 (image : L.image) pc0 a (b : M.mopd) ~mask ~want ~tgt ~jt ~spin : dop =
   let k0 = image.L.class_of_pc.(pc0)
   and k1 = image.L.class_of_pc.(pc0 + 1)
   and k2 = image.L.class_of_pc.(pc0 + 2) in
   let pc1 = pc0 + 1 and pc2 = pc0 + 2 in
   let finish (t : t) fl =
     let s = t.steps in
-    let hc = t.hook_cost in
-    let c3 = cw0 + cw1 + cw2 + (3 * hc) in
-    if s land 1023 <= 1020 && t.d_max_steps - s >= 3 && t.d_max_cost - t.cost >= c3 then begin
+    let dc = 1 + t.hook_cost in
+    if s land 1023 <= 1020 && t.d_max_steps - s >= 3 && t.d_max_cost - t.cost >= 3 * dc then begin
       (* batched: no poll slot or budget edge inside the triple *)
       Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
       let prof2 () =
@@ -1313,13 +1224,13 @@ let fuse_loop3 ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0 a (b : M.m
       if (fl land mask <> 0) = want then begin
         (* exit taken: only cmp+jcc retire *)
         t.steps <- s + 2;
-        t.cost <- t.cost + cw0 + cw1 + (2 * hc);
+        t.cost <- t.cost + (2 * dc);
         prof2 ();
         t.pc <- tgt
       end
       else begin
         t.steps <- s + 3;
-        t.cost <- t.cost + c3;
+        t.cost <- t.cost + (3 * dc);
         prof2 ();
         (match t.prof with
         | None -> ()
@@ -1331,11 +1242,11 @@ let fuse_loop3 ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0 a (b : M.m
           let n =
             min
               ((1023 - (t.steps land 1023)) / 3)
-              (min ((t.d_max_steps - t.steps) / 3) ((t.d_max_cost - t.cost) / c3))
+              (min ((t.d_max_steps - t.steps) / 3) ((t.d_max_cost - t.cost) / (3 * dc)))
           in
           if n > 0 then begin
             t.steps <- t.steps + (3 * n);
-            t.cost <- t.cost + (n * c3);
+            t.cost <- t.cost + (3 * n * dc);
             match t.prof with
             | None -> ()
             | Some p ->
@@ -1348,12 +1259,12 @@ let fuse_loop3 ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0 a (b : M.m
     end
     else begin
       (* constituent-exact slow path across the boundary/edge *)
-      account t k0 cw0;
+      account t k0;
       t.pc <- pc1;
       Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
       rc t;
       if d_live t then begin
-        account t k1 cw1;
+        account t k1;
         t.pc <- pc2;
         if (fl land mask <> 0) = want then begin
           t.pc <- tgt;
@@ -1362,7 +1273,7 @@ let fuse_loop3 ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0 a (b : M.m
         else begin
           rc t;
           if d_live t then begin
-            account t k2 cw2;
+            account t k2;
             t.pc <- jt;
             rc t
           end
@@ -1390,19 +1301,19 @@ let fuse_loop3 ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0 a (b : M.m
    before the exit value, the next poll slot, or a budget edge — with the
    latch register and FLAGS materialized to their exact architectural
    values at the stopping point. *)
-let fuse_latch3 ?cost_of ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0
-    (op : Refine_ir.Ir.ibinop) d a (b : M.mopd) a2 (b2 : M.mopd) ~mask ~want ~tgt ~burn : dop =
+let fuse_latch3 (image : L.image) pc0 (op : Refine_ir.Ir.ibinop) d a (b : M.mopd) a2
+    (b2 : M.mopd) ~mask ~want ~tgt ~burn : dop =
   let k0 = image.L.class_of_pc.(pc0)
   and k1 = image.L.class_of_pc.(pc0 + 1)
   and k2 = image.L.class_of_pc.(pc0 + 2) in
   let pc3 = pc0 + 3 in
-  let s0 = decode_one ?cost_of image pc0 image.L.code.(pc0)
-  and s1 = decode_one ?cost_of image (pc0 + 1) image.L.code.(pc0 + 1)
-  and s2 = decode_one ?cost_of image (pc0 + 2) image.L.code.(pc0 + 2) in
+  let s0 = decode_one image pc0 image.L.code.(pc0)
+  and s1 = decode_one image (pc0 + 1) image.L.code.(pc0 + 1)
+  and s2 = decode_one image (pc0 + 2) image.L.code.(pc0 + 2) in
   fun t ->
     let s = t.steps in
-    let c3 = cw0 + cw1 + cw2 + (3 * t.hook_cost) in
-    if s land 1023 <= 1020 && t.d_max_steps - s >= 3 && t.d_max_cost - t.cost >= c3 then begin
+    let dc = 1 + t.hook_cost in
+    if s land 1023 <= 1020 && t.d_max_steps - s >= 3 && t.d_max_cost - t.cost >= 3 * dc then begin
       let va = Array.unsafe_get t.regs a in
       let vb = match b with M.Imm v -> v | M.Reg r -> Array.unsafe_get t.regs r in
       let r =
@@ -1424,7 +1335,7 @@ let fuse_latch3 ?cost_of ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0
       let fl = flags_of va2 vb2 in
       Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
       t.steps <- s + 3;
-      t.cost <- t.cost + c3;
+      t.cost <- t.cost + (3 * dc);
       (match t.prof with
       | None -> ()
       | Some p ->
@@ -1441,7 +1352,7 @@ let fuse_latch3 ?cost_of ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0
           let cap =
             min
               ((1023 - (t.steps land 1023)) / 3)
-              (min ((t.d_max_steps - t.steps) / 3) ((t.d_max_cost - t.cost) / c3))
+              (min ((t.d_max_steps - t.steps) / 3) ((t.d_max_cost - t.cost) / (3 * dc)))
           in
           if cap > 0 then begin
             (* the branch was taken, so r <> m and the (wrapping) exit
@@ -1457,7 +1368,7 @@ let fuse_latch3 ?cost_of ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0
               Array.unsafe_set t.regs d r';
               Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words (flags_of r' m));
               t.steps <- t.steps + (3 * k);
-              t.cost <- t.cost + (k * c3);
+              t.cost <- t.cost + (3 * k * dc);
               match t.prof with
               | None -> ()
               | Some p ->
@@ -1478,7 +1389,7 @@ let fuse_latch3 ?cost_of ?(cw0 = 1) ?(cw1 = 1) ?(cw2 = 1) (image : L.image) pc0
       end
     end
 
-(* Hand-fused REFINE FI splice (DESIGN.md §20): the instrumentation the
+(* Hand-fused REFINE FI splice (DESIGN.md §19): the instrumentation the
    pass wraps around every candidate —
 
      Mpush r0; [Mpushf]; Mcallext "fi_sel_instr";
@@ -1582,7 +1493,7 @@ let fuse_splice (image : L.image) pc0 ~pf ~r0 ~post : dop =
         p.class_steps.(k_push) <- p.class_steps.(k_push) + 1;
         if pf then p.class_steps.(k_pushf) <- p.class_steps.(k_pushf) + 1);
       (* the selector call, constituent-exact *)
-      account t k_call 1;
+      account t k_call;
       t.pc <- a + 1;
       t.handlers.(slot) t;
       if
@@ -1616,28 +1527,19 @@ let idioms = [| "cmp-branch"; "load-op-store"; "loop-back"; "fi-splice" |]
    idiom heads are replaced by superinstructions.  Interior pcs of a fused
    region keep their single decodes, so jumps landing mid-idiom dispatch
    correctly. *)
-let decode ?cost_of (image : L.image) : dprogram =
+let decode (image : L.image) : dprogram =
   let code = image.L.code in
   let n = Array.length code in
-  (match cost_of with
-  | Some c when Array.length c <> n ->
-    invalid_arg "Exec.decode: cost_of length does not match the image"
-  | _ -> ());
-  let cw pc = match cost_of with None -> 1 | Some c -> c.(pc) in
-  let single = Array.init n (fun pc -> decode_one ?cost_of image pc code.(pc)) in
+  let single = Array.init n (fun pc -> decode_one image pc code.(pc)) in
   let fused = Array.copy single in
   let super = Array.make (Array.length idioms) 0 in
   let okr r = r >= 0 && r < R.num_regs in
   let oko = function M.Reg r -> okr r | M.Imm _ -> true in
-  let plain = match cost_of with None -> true | Some _ -> false in
   for pc = 0 to n - 1 do
-    (* REFINE FI splice head: the exact shape Fimap.parse_splices accepts
-       (the [Mjmp (a+4)] discriminates it from user code, which can never
-       call "fi_sel_instr" anyway).  Only on plain (unweighted) images:
-       detach targets carry the splice cost as slot weights instead. *)
+    (* REFINE FI splice head: the exact shape the REFINE pass emits (the
+       [Mjmp (a+4)] discriminates it from user code, which can never call
+       "fi_sel_instr" anyway) *)
     let splice =
-      plain
-      &&
       match code.(pc) with
       | M.Mpush r0 when okr r0 -> (
         let pf = pc + 1 < n && code.(pc + 1) = M.Mpushf in
@@ -1674,9 +1576,7 @@ let decode ?cost_of (image : L.image) : dprogram =
             jt = pc && a <> R.flags
             && match b with M.Reg rb -> rb <> R.flags | M.Imm _ -> true
           in
-          fused.(pc) <-
-            fuse_loop3 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) ~cw2:(cw (pc + 2)) image pc a b ~mask
-              ~want ~tgt ~jt ~spin;
+          fused.(pc) <- fuse_loop3 image pc a b ~mask ~want ~tgt ~jt ~spin;
           super.(2) <- super.(2) + 1;
           true
         | None -> false)
@@ -1704,9 +1604,7 @@ let decode ?cost_of (image : L.image) : dprogram =
               | _ -> None
             else None
           in
-          fused.(pc) <-
-            fuse_latch3 ?cost_of ~cw0:(cw pc) ~cw1:(cw (pc + 1)) ~cw2:(cw (pc + 2)) image pc op
-              d a b a2 b2 ~mask ~want ~tgt ~burn;
+          fused.(pc) <- fuse_latch3 image pc op d a b a2 b2 ~mask ~want ~tgt ~burn;
           (* a backward target is a loop latch; forward is a fused
              compare-branch with a leading op *)
           (if tgt <= pc + 2 then super.(2) <- super.(2) + 1
@@ -1719,7 +1617,7 @@ let decode ?cost_of (image : L.image) : dprogram =
       match (code.(pc), code.(pc + 1)) with
       | M.Mcmp (a, b), M.Mjcc (cc, tgt) when okr a && oko b && int_cc cc <> None ->
         let mask, want = match int_cc cc with Some mw -> mw | None -> assert false in
-        fused.(pc) <- fuse_pair2 ~cw0:(cw pc) ~cw1:(cw (pc + 1)) image pc a b ~mask ~want ~tgt;
+        fused.(pc) <- fuse_pair2 image pc a b ~mask ~want ~tgt;
         super.(0) <- super.(0) + 1
       | (M.Mcmp _ | M.Mfcmp _), M.Mjcc _ ->
         fused.(pc) <- compose2 (pc + 1) single.(pc) single.(pc + 1);
@@ -1930,24 +1828,9 @@ let int_budget v = if Int64.compare v (Int64.of_int max_int) >= 0 then max_int e
      (rounded up to a multiple of the 1024-step check interval) and trap
      on an exact repeat.
    All quota trips surface as [Trapped] with their own constructor, so
-   outcome classification maps them to Crash deterministically.
-
-   [detach] (DESIGN.md §20): a post-injection handoff plan.  When the FI
-   control library raises [t.detach_req] (the single injection has
-   retired), the next poll slot hands execution off to the plan's golden
-   engine: the architectural state (registers, memory image, heap cursor,
-   accumulated output and step/cost counters) transfers onto a fresh
-   engine built from the uninstrumented snapshot, and the same absolute
-   budgets keep driving it.  With a correspondence map the source first
-   drains on the legacy stepper to the next original-instruction boundary
-   and live [Mcalli] return addresses are validated against the shadow
-   call stack and rewritten into golden coordinates; without a map
-   (overlay-fallback targets) the coordinates are shared and the handoff
-   is a plain state blit.  Any validation failure declines the handoff
-   and the run simply continues attached — detach is an optimization,
-   never a semantics change. *)
+   outcome classification maps them to Crash deterministically. *)
 let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?heap_quota
-    ?wall_clock ?(clock = Sys.time) ?livelock ?poll ?detach (t : t) : result =
+    ?wall_clock ?(clock = Sys.time) ?livelock ?poll (t : t) : result =
   (match heap_quota with Some q -> t.heap_quota <- q | None -> ());
   let max_steps = int_budget max_steps and max_cost = int_budget max_cost in
   let oq = match output_quota with Some q -> max 0 q | None -> max_int in
@@ -1960,19 +1843,12 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
   (* the 256-slot fingerprint ring exists only while the livelock detector
      is armed — a plain sample must not pay for it *)
   let ll_state = if ll_window > 0 then Some (Array.make fp_ring_size None, ref 0) else None in
-  (* [cur] is the engine the run is currently driving: [t] until a
-     successful handoff, the plan's golden engine after *)
-  let cur = ref t in
-  let plan = ref detach in
-  let detached = ref false in
-  let drained = ref 0 in
   let check_quotas () =
-    let t = !cur in
     (match poll with Some p -> p () | None -> ());
     if oq <> max_int && Buffer.length t.env.out > oq then t.status <- Trapped (Output_quota oq);
     if deadline < infinity && t.status = Running && clock () > deadline then
       t.status <- Trapped (Wall_clock wall_s);
-    (match ll_state with
+    match ll_state with
     | Some (ring, ring_next) when t.status = Running && t.steps mod ll_window = 0 ->
       let fp = fingerprint t in
       let repeat = Array.exists (function Some p -> fp_equal p fp | None -> false) ring in
@@ -1981,131 +1857,11 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
         ring.(!ring_next) <- Some fp;
         ring_next := (!ring_next + 1) mod fp_ring_size
       end
-    | _ -> ());
-    match !plan with
-    | Some _ when t.detach_req && t.status = Running -> raise Detach_signal
     | _ -> ()
   in
-  (* One-shot handoff attempt.  Every failure path leaves [cur] on the
-     source engine with [plan] already cleared, so the run continues
-     attached with identical semantics. *)
-  let attempt_handoff (p : detach_plan) =
-    let src = !cur in
-    (* the decoded loop's budget/check installs are not unwound when the
-       signal propagates out of it — restore them here *)
-    src.d_check <- no_check;
-    src.d_max_steps <- max_int;
-    src.d_max_cost <- max_int;
-    src.detach_req <- false;
-    let ok = ref true in
-    (match p.plan_map with
-    | None -> ()
-    | Some m ->
-      (* drain on the legacy stepper to the next original-instruction
-         boundary (the splice the injection fired in has no golden
-         coordinates); the cap bounds a parse-defeating image, and budget
-         or quota edges during the drain decline the handoff *)
-      let n = Array.length m.h_rank in
-      let cap = ref 4096 in
-      while
-        !ok && src.status = Running && src.pc >= 0 && src.pc < n && m.h_rank.(src.pc) < 0
-      do
-        if !cap <= 0 || src.steps >= max_steps || src.cost >= max_cost then ok := false
-        else begin
-          step src;
-          incr drained;
-          decr cap;
-          if src.steps land 1023 = 0 then check_quotas ()
-        end
-      done;
-      if src.status <> Running || src.pc < 0 || src.pc >= n || m.h_rank.(src.pc) < 0 then
-        ok := false;
-      (* validate the live shadow call stack: each live frame's stack slot
-         must still hold the recorded return address (a fault that smashed
-         a return address makes the translation meaningless), and every
-         return address must translate into golden coordinates *)
-      if !ok then begin
-        let rsp = Int64.to_int src.regs.(R.rsp) in
-        if rsp < Mem.mem_size - Mem.stack_limit || rsp > Mem.mem_size - 8 then ok := false
-        else
-          for j = 0 to src.cs_len - 1 do
-            if !ok then begin
-              let slot = src.cs_slots.(j) in
-              if slot >= rsp then begin
-                if slot > Mem.mem_size - 8 then ok := false
-                else begin
-                  let v = src.cs_vals.(j) in
-                  if Bytes.get_int64_le src.mem slot <> v then ok := false
-                  else
-                    let vi = Int64.to_int v in
-                    if vi < 0 || vi >= Array.length m.h_next || m.h_next.(vi) < 0 then
-                      ok := false
-                end
-              end
-            end
-          done
-      end);
-    if !ok then begin
-      let g = p.plan_target () in
-      if
-        g.status <> Running
-        || Bytes.length g.mem <> Bytes.length src.mem
-        || Array.length g.regs <> Array.length src.regs
-      then () (* unusable target: stay attached *)
-      else begin
-        Bytes.blit src.mem 0 g.mem 0 (Bytes.length src.mem);
-        Array.blit src.regs 0 g.regs 0 (Array.length src.regs);
-        g.heap <- src.heap;
-        g.steps <- src.steps;
-        g.cost <- src.cost;
-        g.heap_quota <- src.heap_quota;
-        g.fi_mask <- src.fi_mask;
-        g.env.exited <- src.env.exited;
-        Buffer.clear g.env.out;
-        Buffer.add_buffer g.env.out src.env.out;
-        (* shared profile record: the owner keeps flushing the counters it
-           already holds, and post-handoff retirement lands in the same
-           cells *)
-        g.prof <- src.prof;
-        (match p.plan_map with
-        | Some m ->
-          g.pc <- m.h_rank.(src.pc);
-          (* rewrite live return addresses into golden coordinates *)
-          let rsp = Int64.to_int src.regs.(R.rsp) in
-          for j = 0 to src.cs_len - 1 do
-            let slot = src.cs_slots.(j) in
-            if slot >= rsp then
-              Bytes.set_int64_le g.mem slot
-                (Int64.of_int m.h_next.(Int64.to_int src.cs_vals.(j)))
-          done
-        | None ->
-          (* shared coordinates: pc carries over; a live Instr_image
-             overlay moves with it *)
-          g.pc <- src.pc;
-          if src.overlay_pc >= 0 then set_overlay g ~pc:src.overlay_pc src.overlay_instr);
-        cur := g;
-        detached := true
-      end
-    end
-  in
-  let rec drive () =
-    let t = !cur in
-    match
-      match t.dprog with
-      | Some _ -> Decoded_engine.loop t ~max_steps ~max_cost ~check:check_quotas
-      | None -> Legacy_engine.loop t ~max_steps ~max_cost ~check:check_quotas
-    with
-    | () -> ()
-    | exception Detach_signal ->
-      (match !plan with
-      | Some p ->
-        plan := None;
-        attempt_handoff p
-      | None -> ());
-      drive ()
-  in
-  drive ();
-  let t = !cur in
+  (match t.dprog with
+  | Some _ -> Decoded_engine.loop t ~max_steps ~max_cost ~check:check_quotas
+  | None -> Legacy_engine.loop t ~max_steps ~max_cost ~check:check_quotas);
   let status = if t.status = Running then Timed_out else t.status in
   let output = Buffer.contents t.env.out in
   let truncated = String.length output > oq in
@@ -2117,18 +1873,11 @@ let run ?(max_steps = Int64.max_int) ?(max_cost = Int64.max_int) ?output_quota ?
     else status
   in
   t.status <- status;
-  (* A timed-out run stops with a cost overshooting the budget by at most
-     the last slot's weight — per instruction attached, per modeled
-     instrumentation bundle on a detach target.  Reporting the burned
-     budget itself erases that granularity difference, keeping fixed-seed
-     campaign cost sums bit-identical with detach on or off. *)
+  (* A timed-out run is charged exactly its budget.  The instruction that
+     crosses the cost edge overshoots it by its own charge — an extern's
+     declared cost, a DBI hook's per-instruction cost — which records
+     where the edge happened to fall, not anything about the sample; the
+     paper kills a run at the timeout, so the burned budget is the cost.
+     Fixed-seed campaign cost sums depend on this (test_pinned.ml). *)
   let cost = if status = Timed_out && t.cost > max_cost then max_cost else t.cost in
-  {
-    status;
-    output;
-    steps = Int64.of_int t.steps;
-    cost = Int64.of_int cost;
-    truncated;
-    detached = !detached;
-    drain_steps = !drained;
-  }
+  { status; output; steps = Int64.of_int t.steps; cost = Int64.of_int cost; truncated }

@@ -122,16 +122,12 @@ type t = {
           at 1024-step boundaries.  Internal. *)
   mutable d_max_steps : int;  (** active decoded-run step budget.  Internal. *)
   mutable d_max_cost : int;  (** active decoded-run cost budget.  Internal. *)
-  mutable detach_req : bool;
-      (** raised by the FI control library once the single injection has
-          retired; {!run} hands off to the detach plan's golden engine at
-          the next poll slot (DESIGN.md §20).  Cleared by {!reset}. *)
   mutable handler_cost : int array;
       (** declared modeled cost per extern slot, parallel to [handlers]
           and rebuilt with them — the fi-splice fast path charges a
           skipped selector call exactly.  Internal. *)
   mutable fi_sel_skip : int;
-      (** FI-selector fast-path window (DESIGN.md §20): number of
+      (** FI-selector fast-path window (DESIGN.md §19): number of
           upcoming [fi_sel_instr] calls that are provably non-firing.
           Published by the REFINE control library after each real
           selector call; consumed one per splice by the fused fi-splice
@@ -143,12 +139,6 @@ type t = {
           ran; folded back into the control counter on the next real
           call or by [Runtime.absorb] after the run.  Cleared by
           {!reset}. *)
-  mutable cs_slots : int array;
-      (** shadow call stack: per live [Mcalli] frame, the stack slot
-          holding the pushed return address — handoff-time validation and
-          translation data.  Internal. *)
-  mutable cs_vals : int64 array;  (** the value pushed into each slot.  Internal. *)
-  mutable cs_len : int;  (** live shadow-stack depth.  Internal. *)
   snap : Bytes.t option;
       (** pristine memory blitted back by {!reset}; [None] for engines made
           with {!create} *)
@@ -162,41 +152,7 @@ type result = {
   truncated : bool;
       (** the output was cut at the output quota — classification must
           never report it as a golden match *)
-  detached : bool;
-      (** the run handed off to its detach plan's golden engine after the
-          injection retired (DESIGN.md §20) *)
-  drain_steps : int;
-      (** instructions single-stepped to reach an original-instruction
-          boundary before the handoff (0 unless [detached] with a
-          correspondence map) *)
 }
-
-type handoff_map = {
-  h_rank : int array;
-      (** instrumented pc -> golden pc; [-1] for spliced (inserted) pcs *)
-  h_next : int array;
-      (** length [n+1]: golden pc of the first original instruction at or
-          after each instrumented pc — return-address translation *)
-}
-(** Correspondence between an instrumented image and its golden twin, in
-    the executor's terms (built by [Fimap] in the backend). *)
-
-type detach_plan = {
-  plan_target : unit -> t;
-      (** builds (or fetches from a cache) the golden engine to continue
-          on: reset, decoded with the attached-equivalent cost weights,
-          application externs bound *)
-  plan_map : handoff_map option;
-      (** [Some] = golden-snapshot coordinates (drain + translate);
-          [None] = overlay-fallback target sharing the instrumented
-          image's coordinates (plain state blit) *)
-}
-(** Post-injection handoff plan, built per sample by the campaign layer
-    when the tool and fault model are eligible (DESIGN.md §20). *)
-
-exception Detach_signal
-(** Internal: raised by the poll-slot check to unwind the engine loop when
-    [detach_req] is up and a plan is armed.  Never escapes {!run}. *)
 
 val create : ?ext_extra:(string * int * (t -> unit)) list -> Refine_backend.Layout.image -> t
 (** Fresh machine state: globals initialized, stack holding the sentinel
@@ -246,26 +202,18 @@ val enable_profiling : t -> profile
 
 (** {1 Pre-decoded engine (DESIGN.md §19)} *)
 
-val decode : ?cost_of:int array -> Refine_backend.Layout.image -> dprogram
+val decode : Refine_backend.Layout.image -> dprogram
 (** Decode every instruction of [image] into a dispatch closure and fuse
     superinstructions over the hot idioms.  Pure per image: the campaign
     layer caches the result per snapshot in the content-addressed artifact
-    cache so engines handed out by [Tool.acquire] never re-decode.
-
-    [cost_of] (DESIGN.md §20): per-pc modeled cost weights, one entry per
-    code slot ([Invalid_argument] on a length mismatch; default weight 1
-    everywhere).  Detach targets are decoded with the correspondence map's
-    weights so a detached run charges the same modeled cost the attached
-    run would have — batched superinstruction retirement and closed-form
-    loop burn scale their budget-edge math by the constituent weights and
-    stay constituent-exact. *)
+    cache so engines handed out by [Tool.acquire] never re-decode. *)
 
 val install_decoded : t -> dprogram option -> unit
-(** Attach ([Some dp]) or detach ([None]) a decoded program.  [dp] must
+(** Install ([Some dp]) or remove ([None]) a decoded program.  [dp] must
     have been built from the engine's own image ([Invalid_argument]
     otherwise — decoded closures bake that image's class and extern-slot
     tables).  With a program installed, {!run} dispatches through
-    {!Decoded_engine}; detaching falls back to the legacy interpreter. *)
+    {!Decoded_engine}; removing it falls back to the legacy interpreter. *)
 
 val decoded : t -> bool
 (** Whether a decoded program is installed. *)
@@ -277,9 +225,8 @@ val idioms : string array
 (** Superinstruction idiom names, in {!superinstr_counts} index order:
     [[|"cmp-branch"; "load-op-store"; "loop-back"; "fi-splice"|]].
     ["fi-splice"] is the REFINE instrumentation splice fused into one
-    closure on plain (unweighted) images, so an attached instrumented run
-    pays roughly one dispatch per candidate instead of seven
-    (DESIGN.md §20). *)
+    closure, so an instrumented run pays roughly one dispatch per
+    candidate instead of seven (DESIGN.md §19). *)
 
 val superinstr_counts : dprogram -> int array
 (** Static fusion sites per idiom (indexed like {!idioms}) — the feed for
@@ -316,12 +263,13 @@ val run :
   ?clock:(unit -> float) ->
   ?livelock:int ->
   ?poll:(unit -> unit) ->
-  ?detach:detach_plan ->
   t ->
   result
 (** Run to completion, trap, or budget exhaustion ([Timed_out]).
-    [max_cost] is the paper's 10x-profiling timeout measure.  [poll] is
-    called every 1024 executed instructions; an exception it raises (e.g.
+    [max_cost] is the paper's 10x-profiling timeout measure; a run that
+    times out on it reports [cost = max_cost], not the overshoot of the
+    instruction that crossed the edge.  [poll] is called every 1024
+    executed instructions; an exception it raises (e.g.
     {!Refine_support.Supervisor.Cancelled} from a cancellation token)
     propagates to the caller, aborting the run — the cooperative kill
     mechanism used by campaign watchdogs.
@@ -336,14 +284,4 @@ val run :
     architectural state every that many steps (rounded up to a multiple of
     1024) and traps [Livelock] on an exact repeat within the last 256
     fingerprints — the fingerprint ring is only allocated when the
-    detector is armed.
-
-    [detach] (DESIGN.md §20): when the FI control library raises
-    [detach_req] (the injection has retired), the next poll slot hands
-    execution off to [plan_target]'s golden engine — with a map the run
-    first drains to an original-instruction boundary and validates /
-    rewrites live return addresses through the shadow call stack; without
-    one the coordinates are shared and the handoff is a state blit.  Any
-    validation failure declines the handoff and the run continues
-    attached; the handoff is attempted at most once per call.  [detached]
-    and [drain_steps] in the result report what happened. *)
+    detector is armed. *)

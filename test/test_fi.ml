@@ -74,7 +74,7 @@ let test_selection_strings () =
 let profile : F.profile =
   { F.golden_output = "ok\n"; golden_exit = 0; dyn_count = 100L; profile_cost = 1000L }
 
-let res status output = { E.status; output; steps = 0L; cost = 0L; truncated = false; detached = false; drain_steps = 0 }
+let res status output = { E.status; output; steps = 0L; cost = 0L; truncated = false }
 
 let test_classify () =
   Alcotest.(check bool) "benign" true

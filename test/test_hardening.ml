@@ -147,7 +147,7 @@ let prof golden =
   { F.golden_output = golden; golden_exit = 0; dyn_count = 8L; profile_cost = 100L }
 
 let res ?(truncated = false) status output =
-  { E.status; output; steps = 10L; cost = 10L; truncated; detached = false; drain_steps = 0 }
+  { E.status; output; steps = 10L; cost = 10L; truncated }
 
 let test_truncated_is_crash () =
   (* a truncated prefix of the golden output must never read as Benign *)

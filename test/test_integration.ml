@@ -58,7 +58,7 @@ let test_exit_code_propagates () =
     { Fa.golden_output = ""; golden_exit = 0; dyn_count = 1L; profile_cost = 1L }
   in
   Alcotest.(check bool) "nonzero exit = crash" true
-    (Fa.classify profile { E.status = r.E.status; output = r.E.output; steps = 0L; cost = 0L; truncated = false; detached = false; drain_steps = 0 }
+    (Fa.classify profile { E.status = r.E.status; output = r.E.output; steps = 0L; cost = 0L; truncated = false }
      = Fa.Crash)
 
 let test_division_trap_end_to_end () =

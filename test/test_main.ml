@@ -18,7 +18,7 @@ let () =
       ("machine", Test_machine.tests);
       ("fastpath", Test_fastpath.tests);
       ("decode", Test_decode.tests);
-      ("detach", Test_detach.tests);
+      ("pinned", Test_pinned.tests);
       ("fi", Test_fi.tests);
       ("semantics", Test_semantics.tests);
       ("benchmarks", Test_benchmarks.tests);
