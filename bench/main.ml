@@ -414,7 +414,7 @@ let passes_section () =
 
 (* ---- BENCH_fastpath.json: executor fast-path throughput -------------------
    The fast path (DESIGN.md §14) replaces per-sample engine allocation with
-   snapshot-blit reset, boxed int64 hot counters with unboxed ints, and
+   dirty-page snapshot reset, boxed int64 hot counters with unboxed ints, and
    string-hashed extern dispatch with a pre-resolved handler table.  The
    probe measures: end-to-end samples/sec on the same cell with the legacy
    path vs the fast path (outcome tables must be bit-identical), raw

@@ -63,8 +63,8 @@ let attach (ctrl : ctrl) (eng : E.t) =
                 Refine_support.Bitops.draw_bits (P.int rng) ~width ~bits ~burst
               | _ -> Refine_support.Bitops.draw_bits (P.int rng) ~width ~bits:ctrl.flips ~burst:false
             in
-            eng.E.regs.(reg) <-
-              Int64.logxor eng.E.regs.(reg) (Refine_support.Bitops.mask_of_bits chosen);
+            E.set_reg eng reg
+              (Int64.logxor (E.get_reg eng reg) (Refine_support.Bitops.mask_of_bits chosen));
             ctrl.record <-
               Some
                 { Fault.dyn_index; op_index = op; reg_name = R.name reg;

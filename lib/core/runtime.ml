@@ -82,33 +82,33 @@ let refine_sel_instr ctrl (eng : E.t) =
   publish_skip ctrl eng;
   if should_fire ctrl then begin
     match ctrl.mode with
-    | Profile -> eng.E.regs.(R.ret_gpr) <- 0L
+    | Profile -> E.set_reg eng R.ret_gpr 0L
     | Inject { rng; model; _ } -> (
       match model with
-      | Fault.Reg_bit | Fault.Multi_bit _ -> eng.E.regs.(R.ret_gpr) <- 1L
+      | Fault.Reg_bit | Fault.Multi_bit _ -> E.set_reg eng R.ret_gpr 1L
       | Fault.Mem_cell ->
         ctrl.fired <- true;
         ctrl.record <- Some (Corrupt.mem_fault rng eng ~dyn_index:(Int64.of_int ctrl.count));
-        eng.E.regs.(R.ret_gpr) <- 0L
+        E.set_reg eng R.ret_gpr 0L
       | Fault.Instr_image ->
         ctrl.fired <- true;
         let pc = Corrupt.instrumented_pc eng in
         ctrl.record <-
           Some (Corrupt.image_fault rng eng ~pc ~dyn_index:(Int64.of_int ctrl.count));
-        eng.E.regs.(R.ret_gpr) <- 0L)
+        E.set_reg eng R.ret_gpr 0L)
   end
-  else eng.E.regs.(R.ret_gpr) <- 0L
+  else E.set_reg eng R.ret_gpr 0L
 
 (* setupFI(nOps in r1, sizes packed per byte in r2): choose the operand and
    bit uniformly; result (op << 6) | bit in r0. *)
 let refine_setup_fi ctrl (eng : E.t) =
   fold_pending ctrl eng;
   (match ctrl.mode with
-  | Profile -> eng.E.regs.(R.ret_gpr) <- 0L
+  | Profile -> E.set_reg eng R.ret_gpr 0L
   | Inject { rng; model; _ } ->
     ctrl.fired <- true;
-    let nops = Int64.to_int eng.E.regs.(R.gpr 1) in
-    let sizes = eng.E.regs.(R.gpr 2) in
+    let nops = Int64.to_int (E.get_reg eng (R.gpr 1)) in
+    let sizes = E.get_reg eng (R.gpr 2) in
     let op = P.int rng (max 1 nops) in
     let size =
       Int64.to_int (Int64.logand (Int64.shift_right_logical sizes (8 * op)) 0xFFL)
@@ -120,7 +120,7 @@ let refine_setup_fi ctrl (eng : E.t) =
     (match model with Fault.Multi_bit _ -> eng.E.fi_mask <- mask | _ -> ());
     ctrl.record <-
       Some { Fault.dyn_index = Int64.of_int ctrl.count; op_index = op; reg_name = "<refine>"; bit };
-    eng.E.regs.(R.ret_gpr) <- Int64.of_int ((op lsl 6) lor bit));
+    E.set_reg eng R.ret_gpr (Int64.of_int ((op lsl 6) lor bit)));
   (* fired (or Profile): every later selector call is non-firing *)
   publish_skip ctrl eng
 
@@ -152,67 +152,44 @@ let llfi_fire ctrl rng model (eng : E.t) (v : int64) : int64 =
     ctrl.record <- Some (Corrupt.image_fault rng eng ~pc ~dyn_index);
     v
 
-(* injectFault(id in r1, value in r2/f1): count, fault at the target
-   instance, return the (possibly flipped) value in r0/f0. *)
-let llfi_inject_int ctrl (eng : E.t) =
-  ctrl.count <- ctrl.count + 1;
-  let v = eng.E.regs.(R.gpr 2) in
-  let v' =
-    if should_fire ctrl then begin
-      match ctrl.mode with
-      | Inject { rng; model; _ } -> llfi_fire ctrl rng model eng v
-      | Profile -> v
-    end
-    else v
-  in
-  eng.E.regs.(R.ret_gpr) <- v'
-
-let llfi_inject_float ctrl (eng : E.t) =
-  ctrl.count <- ctrl.count + 1;
-  let v = eng.E.regs.(R.fpr 1) in
-  let v' =
-    if should_fire ctrl then begin
-      match ctrl.mode with
-      | Inject { rng; model; _ } -> llfi_fire ctrl rng model eng v
-      | Profile -> v
-    end
-    else v
-  in
-  eng.E.regs.(R.ret_fpr) <- v'
-
 (* i1 values (comparison results) have a single architecturally meaningful
-   bit: any fault in them inverts the decision *)
-let llfi_inject_bool ctrl (eng : E.t) =
+   bit: any register fault in them — single or multi — inverts the
+   decision, drawing nothing *)
+let llfi_fire_bool ctrl rng model (eng : E.t) (v : int64) : int64 =
+  ctrl.fired <- true;
+  let dyn_index = Int64.of_int ctrl.count in
+  match model with
+  | Fault.Reg_bit | Fault.Multi_bit _ ->
+    ctrl.record <- Some { Fault.dyn_index; op_index = 0; reg_name = "<ir-bool>"; bit = 0 };
+    Refine_support.Bitops.flip_bit v 0
+  | Fault.Mem_cell ->
+    ctrl.record <- Some (Corrupt.mem_fault rng eng ~dyn_index);
+    v
+  | Fault.Instr_image ->
+    let pc = Corrupt.instrumented_pc eng in
+    ctrl.record <- Some (Corrupt.image_fault rng eng ~pc ~dyn_index);
+    v
+
+(* injectFault(id in r1, value in [src]): count, fault at the target
+   instance, return the (possibly flipped) value in [dst].  Every other
+   instance passes the value through with [E.move_reg], so the per-call
+   path never materializes a boxed [int64]. *)
+let llfi_inject fire ~src ~dst ctrl (eng : E.t) =
   ctrl.count <- ctrl.count + 1;
-  let v = eng.E.regs.(R.gpr 2) in
-  let v' =
-    if should_fire ctrl then begin
-      match ctrl.mode with
-      | Inject { rng; model; _ } -> (
-        ctrl.fired <- true;
-        let dyn_index = Int64.of_int ctrl.count in
-        match model with
-        | Fault.Reg_bit | Fault.Multi_bit _ ->
-          (* i1 values have one meaningful bit: any register fault —
-             single or multi — inverts the decision, drawing nothing *)
-          ctrl.record <- Some { Fault.dyn_index; op_index = 0; reg_name = "<ir-bool>"; bit = 0 };
-          Refine_support.Bitops.flip_bit v 0
-        | Fault.Mem_cell ->
-          ctrl.record <- Some (Corrupt.mem_fault rng eng ~dyn_index);
-          v
-        | Fault.Instr_image ->
-          let pc = Corrupt.instrumented_pc eng in
-          ctrl.record <- Some (Corrupt.image_fault rng eng ~pc ~dyn_index);
-          v)
-      | Profile -> v
-    end
-    else v
-  in
-  eng.E.regs.(R.ret_gpr) <- v'
+  match ctrl.mode with
+  | Inject { rng; model; _ } when should_fire ctrl ->
+    E.set_reg eng dst (fire ctrl rng model eng (E.get_reg eng src))
+  | _ -> E.move_reg eng ~dst ~src
 
 let llfi_handlers ctrl : (string * int * (E.t -> unit)) list =
   [
-    ("llfi_inject_i64", Fi_cost.llfi_lib_call, llfi_inject_int ctrl);
-    ("llfi_inject_f64", Fi_cost.llfi_lib_call, llfi_inject_float ctrl);
-    ("llfi_inject_i1", Fi_cost.llfi_lib_call, llfi_inject_bool ctrl);
+    ( "llfi_inject_i64",
+      Fi_cost.llfi_lib_call,
+      llfi_inject llfi_fire ~src:(R.gpr 2) ~dst:R.ret_gpr ctrl );
+    ( "llfi_inject_f64",
+      Fi_cost.llfi_lib_call,
+      llfi_inject llfi_fire ~src:(R.fpr 1) ~dst:R.ret_fpr ctrl );
+    ( "llfi_inject_i1",
+      Fi_cost.llfi_lib_call,
+      llfi_inject llfi_fire_bool ~src:(R.gpr 2) ~dst:R.ret_gpr ctrl );
   ]

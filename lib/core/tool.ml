@@ -152,10 +152,11 @@ let note_quota_trip (r : E.result) =
 
    The initialized memory image (globals + sentinel stack) is computed once
    per prepared binary and every simulator run acquires a snapshot-backed
-   engine from a per-domain cache: one [Bytes.blit] reset per sample
-   instead of a [Mem.mem_size] allocation.  The cache is keyed by a unique
-   per-prepared id, so a domain that moves to another cell (or a fresh
-   supervisor worker domain) transparently clones a new arena.  Settable
+   engine from a per-domain cache: a reset that copies back only the pages
+   the previous sample wrote, instead of a [Mem.mem_size] allocation.  The
+   cache is keyed by a unique per-prepared id, so a domain that moves to
+   another cell (or a fresh supervisor worker domain) transparently clones
+   a new arena.  Settable
    off to run the legacy allocate-per-sample path; results are
    bit-identical either way (asserted by the fast-path test suite). *)
 

@@ -18,8 +18,10 @@ type outcome = { output : string; exit_code : int; steps : int }
 
 let default_fuel = 200_000_000
 
-(* Shared arithmetic semantics (also used by the machine simulator, so the
-   two cannot drift). *)
+(* Arithmetic semantics.  The machine simulator ([Refine_machine.Exec])
+   spells the same operations out inline so its register values stay
+   unboxed; the semantic property tests compare the two on random
+   programs, so they cannot drift. *)
 
 let mask6 n = Int64.to_int (Int64.logand n 63L)
 

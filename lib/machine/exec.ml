@@ -7,25 +7,28 @@
    injected into this state propagate, mask, or crash the run exactly as
    the paper's fault model intends.
 
-   Integer/float operation semantics are shared with the IR reference
-   interpreter ([Refine_ir.Interp]) so the two cannot drift; the semantic
-   property tests compare them on random programs.
+   Integer/float operation semantics are those of the IR reference
+   interpreter ([Refine_ir.Interp]), spelled out here so every operand
+   stays an unboxed register word; the semantic property tests compare
+   the two on random programs so they cannot drift.
 
    Cost model (DESIGN.md §6): 1 unit per instruction, [ext_call_cost] units
    per runtime-library call, plus [hook_cost] per instruction while a
    dynamic-instrumentation hook (PINFI) is attached.
 
    Fast path (DESIGN.md §14): the per-instruction execute path is
-   allocation-free when profiling is off — step/cost counters are plain
-   [int] fields (63 bits is ample for any modeled budget), FLAGS writes
-   index a preallocated table of the 8 possible flag words, condition
-   codes are evaluated with int bit tests, and extern calls dispatch
-   through a per-engine handler array resolved once from the image's
-   [ext_slot_of_pc] table instead of hashing the extern name per call.
-   Engines can be created from a memory [snapshot] and [reset] between
-   runs with a single [Bytes.blit], so a fault-injection campaign reuses
-   one arena per worker domain instead of allocating [Mem.mem_size] per
-   sample. *)
+   allocation-free when profiling is off — the register file is one
+   [Bytes.t] of raw 64-bit words, so register reads and writes move
+   unboxed [int64]s with no allocation and no write barrier; step/cost
+   counters are plain [int] fields (63 bits is ample for any modeled
+   budget); condition codes are evaluated with int bit tests; and extern
+   calls dispatch through a per-engine handler array resolved once from
+   the image's [ext_slot_of_pc] table instead of hashing the extern name
+   per call.  Engines can be created from a memory [snapshot] and [reset]
+   between runs: every write into [mem] marks its 4 KiB page in a dirty
+   map, and [reset] copies back only the marked pages, so a fault-
+   injection campaign reuses one arena per worker domain and pays per
+   sample for the few pages the program touched, not for [Mem.mem_size]. *)
 
 module M = Refine_mir.Minstr
 module R = Refine_mir.Reg
@@ -76,8 +79,12 @@ type profile = {
 
 type t = {
   image : L.image;
-  regs : int64 array; (* R.num_regs entries; raw bits for GPR/FPR/FLAGS *)
-  mem : Bytes.t;
+  regs : Bytes.t; (* R.num_regs raw 64-bit words (GPR/FPR/FLAGS), 8 bytes each *)
+  mem : Bytes.t; (* written only through this module: see [dirty] *)
+  dirty : Bytes.t;
+      (* one byte per 4 KiB page of [mem] (nonzero = written since the
+         last [reset]) plus one guard byte, so an access at any in-range
+         address can mark the page of its last byte unconditionally *)
   mutable pc : int;
   mutable steps : int; (* unboxed hot counters: int, not int64 (§14) *)
   mutable cost : int;
@@ -138,7 +145,7 @@ type t = {
          ran; the library folds them into its own dynamic counter on the
          next real call, and [Runtime.absorb] folds the remainder after
          the run — so counts and fault records never see a stale total *)
-  snap : Bytes.t option; (* pristine memory to blit on [reset] *)
+  snap : Bytes.t option; (* pristine memory [reset] copies dirty pages from *)
 }
 
 (* A decoded program: per-pc closure tables plus static decode facts.
@@ -164,20 +171,47 @@ type result = {
 (* sentinel return address that terminates the program when popped *)
 let sentinel = -1L
 
+(* --- register file ---------------------------------------------------- *)
+
+(* Register [r] is the native-endian word at byte [8 * r] of [t.regs].
+   The bytes primitives read and write it as an unboxed [int64], so as
+   long as every helper carrying a register value is inlined, a register
+   move allocates nothing and needs no [caml_modify].  [get_reg]/[set_reg]
+   are bounds-checked: a bad index raises [Invalid_argument] exactly as
+   array indexing did (the legacy interpreter and outside callers use
+   them).  [rget]/[rset] are the unchecked forms for decoded closures,
+   whose register indices decode has already validated, and for the
+   fixed registers (FLAGS, rsp, return registers). *)
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline always] get_reg (t : t) r = bytes_get64 t.regs (r * 8)
+let[@inline always] set_reg (t : t) r v = bytes_set64 t.regs (r * 8) v
+(* register-to-register copy that never leaves this module, so the value
+   stays unboxed even for callers that cannot inline [get_reg] *)
+let move_reg (t : t) ~dst ~src = set_reg t dst (get_reg t src)
+
+let[@inline always] rget (t : t) r = unsafe_get64 t.regs (r lsl 3)
+let[@inline always] rset (t : t) r v = unsafe_set64 t.regs (r lsl 3) v
+
 (* --- flags ----------------------------------------------------------- *)
 
-(* The 8 possible FLAGS words (ZF|LT|UNORD), preallocated so a flag write
-   is an array index instead of a chain of boxed Int64 ops. *)
-let flag_words = Array.init 8 Int64.of_int
+(* FLAGS is the int word ZF|LT|UNORD (bits 0, 1, 2). *)
+let[@inline always] set_fl t fl = rset t R.flags (Int64.of_int fl)
 
-let set_flags t ~zf ~lt ~unord =
-  let i =
-    (if zf then 1 else 0) lor (if lt then 2 else 0) lor if unord then 4 else 0
-  in
-  t.regs.(R.flags) <- flag_words.(i)
+(* comparisons spelled with the int64-specialized operators: the compiler
+   compiles them to unboxed native compares instead of C calls *)
+let[@inline always] flags_of (va : int64) (vb : int64) =
+  (if va = vb then 1 else 0) lor if va < vb then 2 else 0
+
+let[@inline always] set_flags_r (t : t) (r : int64) =
+  set_fl t ((if r = 0L then 1 else 0) lor if r < 0L then 2 else 0)
 
 let eval_cc t (cc : M.cc) =
-  let fl = Int64.to_int t.regs.(R.flags) in
+  let fl = Int64.to_int (rget t R.flags) in
   let zf = fl land 1 <> 0 and lt = fl land 2 <> 0 and unord = fl land 4 <> 0 in
   match cc with
   | M.CEq -> zf
@@ -200,27 +234,44 @@ let eval_cc t (cc : M.cc) =
    a huge value into a base register) and would let the access through to
    the Bytes bounds check, surfacing as a harness exception instead of the
    machine trap it models. *)
-let check_addr addr =
+let[@inline always] check_addr addr =
   if addr < Mem.null_guard || addr > Mem.mem_size - 8 then raise (Halt_trap (Mem_fault addr))
 
-let load64 t addr =
-  check_addr addr;
-  Bytes.get_int64_le t.mem addr
+(* Dirty-page map: [reset] restores only the pages marked here.  Every
+   write into [mem] goes through [mark] with the first byte it writes;
+   an 8-byte access may straddle a page boundary, so the page of its last
+   byte is marked too (the guard byte absorbs that for addresses in the
+   last 7 bytes of memory). *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let num_pages = Mem.mem_size lsr page_bits
 
-let store64 t addr v =
-  check_addr addr;
-  Bytes.set_int64_le t.mem addr v
+let[@inline always] mark (t : t) addr =
+  Bytes.unsafe_set t.dirty (addr lsr page_bits) '\001';
+  Bytes.unsafe_set t.dirty ((addr + 7) lsr page_bits) '\001'
 
-let push t v =
-  let sp = Int64.to_int t.regs.(R.rsp) - 8 in
+(* little-endian 64-bit memory access; [check_addr] has validated the
+   range, so the access itself is unchecked *)
+let[@inline always] load64 t addr =
+  check_addr addr;
+  let v = unsafe_get64 t.mem addr in
+  if Sys.big_endian then bswap64 v else v
+
+let[@inline always] store64 t addr v =
+  check_addr addr;
+  mark t addr;
+  unsafe_set64 t.mem addr (if Sys.big_endian then bswap64 v else v)
+
+let[@inline always] push t v =
+  let sp = Int64.to_int (rget t R.rsp) - 8 in
   if sp < Mem.mem_size - Mem.stack_limit then raise (Halt_trap Stack_overflow);
-  t.regs.(R.rsp) <- Int64.of_int sp;
+  rset t R.rsp (Int64.of_int sp);
   store64 t sp v
 
-let pop t =
-  let sp = Int64.to_int t.regs.(R.rsp) in
+let[@inline always] pop t =
+  let sp = Int64.to_int (rget t R.rsp) in
   let v = load64 t sp in
-  t.regs.(R.rsp) <- Int64.of_int (sp + 8);
+  rset t R.rsp (Int64.of_int (sp + 8));
   v
 
 (* --- extern calls ------------------------------------------------------ *)
@@ -265,7 +316,7 @@ let builtin_handler name : (t -> unit) option =
            t.cost <- t.cost + ext_call_cost;
            count_ext t ext_call_cost;
            for i = 0 to Array.length arg_regs - 1 do
-             args.(i) <- t.regs.(arg_regs.(i))
+             args.(i) <- rget t arg_regs.(i)
            done;
            let r =
              try Refine_ir.Externs.call t.env name args
@@ -275,8 +326,8 @@ let builtin_handler name : (t -> unit) option =
            | Some code -> t.status <- Exited code
            | None -> (
              match ret with
-             | Some Refine_ir.Ir.I64 -> t.regs.(R.ret_gpr) <- r
-             | Some Refine_ir.Ir.F64 -> t.regs.(R.ret_fpr) <- r
+             | Some Refine_ir.Ir.I64 -> rset t R.ret_gpr r
+             | Some Refine_ir.Ir.F64 -> rset t R.ret_fpr r
              | None -> ()))
      with Exhausted ->
        Some
@@ -380,8 +431,9 @@ let make ~(ext_extra : (string * int * (t -> unit)) list) (image : L.image) mem 
   let t =
     {
       image;
-      regs = Array.make R.num_regs 0L;
+      regs = Bytes.make (R.num_regs * 8) '\000';
       mem;
+      dirty = Bytes.make (num_pages + 1) '\000';
       pc = image.L.entry;
       steps = 0;
       cost = 0;
@@ -414,7 +466,7 @@ let make ~(ext_extra : (string * int * (t -> unit)) list) (image : L.image) mem 
   List.iter (fun (name, cost, fn) -> Hashtbl.replace t.ext_extra name (cost, fn)) ext_extra;
   t.builtins <- Array.map builtin_handler image.L.ext_names;
   t.handlers <- bind_handlers t;
-  t.regs.(R.rsp) <- Int64.of_int (Mem.mem_size - 8);
+  rset t R.rsp (Int64.of_int (Mem.mem_size - 8));
   t
 
 let create ?(ext_extra = []) (image : L.image) : t = make ~ext_extra image (init_mem image) None
@@ -422,21 +474,29 @@ let create ?(ext_extra = []) (image : L.image) : t = make ~ext_extra image (init
 let create_from_snapshot ?(ext_extra = []) (s : snapshot) : t =
   make ~ext_extra s.s_image (Bytes.copy s.s_mem) (Some s.s_mem)
 
-(* Restore the pristine post-loader state with one [Bytes.blit] — the
-   whole point of the snapshot API: a campaign worker reuses one arena per
-   cell instead of allocating (and GC-ing) [Mem.mem_size] per sample.
+(* Restore the pristine post-loader state — the whole point of the
+   snapshot API: a campaign worker reuses one arena per cell instead of
+   allocating (and GC-ing) [Mem.mem_size] per sample.  Memory comes back
+   page by page: only the pages the dirty map marked since the last reset
+   are copied from the snapshot, so a sample pays for the few pages its
+   program wrote, and the rest of the arena stays untouched (and warm).
    Every mutable piece of the machine is re-initialized, so a reset engine
    is bit-identical to a fresh [create_from_snapshot] (the differential
-   property tests assert exactly this). *)
+   property tests compare whole arenas and register files). *)
 let reset ?(ext_extra = []) (t : t) : unit =
   let snap =
     match t.snap with
     | Some s -> s
     | None -> invalid_arg "Exec.reset: engine was not created from a snapshot"
   in
-  Bytes.blit snap 0 t.mem 0 (Bytes.length snap);
-  Array.fill t.regs 0 (Array.length t.regs) 0L;
-  t.regs.(R.rsp) <- Int64.of_int (Mem.mem_size - 8);
+  let dirty = t.dirty in
+  for p = 0 to num_pages - 1 do
+    if Bytes.unsafe_get dirty p <> '\000' then
+      Bytes.blit snap (p lsl page_bits) t.mem (p lsl page_bits) page_size
+  done;
+  Bytes.fill dirty 0 (Bytes.length dirty) '\000';
+  Bytes.fill t.regs 0 (Bytes.length t.regs) '\000';
+  rset t R.rsp (Int64.of_int (Mem.mem_size - 8));
   t.pc <- t.image.L.entry;
   t.steps <- 0;
   t.cost <- 0;
@@ -467,7 +527,46 @@ let reset ?(ext_extra = []) (t : t) : unit =
 
 (* --- single step -------------------------------------------------------- *)
 
-let opd (t : t) = function M.Reg r -> t.regs.(r) | M.Imm v -> v
+(* Operation semantics, inlined at every use so operands and results stay
+   unboxed: a call into [Refine_ir.Interp] would box both.  Identical to
+   [Interp.eval_ibinop] / [eval_fbinop] / [eval_funop] / [fptosi]
+   (division by zero is the machine trap here, [Interp.Trap] there). *)
+let[@inline always] ibinop (op : Refine_ir.Ir.ibinop) (a : int64) (b : int64) =
+  match op with
+  | Add -> Int64.add a b
+  | Sub -> Int64.sub a b
+  | Mul -> Int64.mul a b
+  | Div ->
+    if b = 0L then raise (Halt_trap Div_by_zero)
+    else if a = Int64.min_int && b = -1L then Int64.min_int
+    else Int64.div a b
+  | Rem ->
+    if b = 0L then raise (Halt_trap Div_by_zero)
+    else if a = Int64.min_int && b = -1L then 0L
+    else Int64.rem a b
+  | And -> Int64.logand a b
+  | Or -> Int64.logor a b
+  | Xor -> Int64.logxor a b
+  | Shl -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
+  | Lshr -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
+  | Ashr -> Int64.shift_right a (Int64.to_int (Int64.logand b 63L))
+
+let[@inline always] fbinop (op : Refine_ir.Ir.fbinop) (a : float) (b : float) =
+  match op with Fadd -> a +. b | Fsub -> a -. b | Fmul -> a *. b | Fdiv -> a /. b
+
+let[@inline always] funop (op : Refine_ir.Ir.funop) (a : float) =
+  match op with Fneg -> -.a | Fsqrt -> sqrt a | Fabs -> Float.abs a
+
+let[@inline always] fptosi (f : float) =
+  if Float.is_nan f then 0L
+  else if f >= 9.2233720368547758e18 then Int64.max_int
+  else if f <= -9.2233720368547758e18 then Int64.min_int
+  else Int64.of_float f
+
+(* the legacy interpreter's integer-op tail: result and its flags *)
+let[@inline always] ifin (t : t) d (r : int64) =
+  set_reg t d r;
+  set_flags_r t r
 
 (* Execute [i] as the instruction at [pc0] (bounds already established by
    [step]'s guard).  Factored out of [step] so the Instr_image overlay can
@@ -486,46 +585,44 @@ let exec_instr (t : t) pc0 (i : M.t) =
     t.pc <- pc0 + 1;
     (try
        (match i with
-       | M.Mmov (d, s) -> t.regs.(d) <- opd t s
-       | M.Mload (d, b, off) -> t.regs.(d) <- load64 t (Int64.to_int t.regs.(b) + off)
-       | M.Mstore (s, b, off) -> store64 t (Int64.to_int t.regs.(b) + off) t.regs.(s)
+       (* register and immediate operands are separate cases: a value
+          joined from both forms would be boxed *)
+       | M.Mmov (d, M.Reg s) -> set_reg t d (get_reg t s)
+       | M.Mmov (d, M.Imm v) -> set_reg t d v
+       | M.Mload (d, b, off) -> set_reg t d (load64 t (Int64.to_int (get_reg t b) + off))
+       | M.Mstore (s, b, off) -> store64 t (Int64.to_int (get_reg t b) + off) (get_reg t s)
        | M.Mloadidx (d, b, ix, off) ->
-         t.regs.(d) <-
-           load64 t (Int64.to_int t.regs.(b) + (8 * Int64.to_int t.regs.(ix)) + off)
+         set_reg t d
+           (load64 t (Int64.to_int (get_reg t b) + (8 * Int64.to_int (get_reg t ix)) + off))
        | M.Mstoreidx (s, b, ix, off) ->
-         store64 t (Int64.to_int t.regs.(b) + (8 * Int64.to_int t.regs.(ix)) + off) t.regs.(s)
+         store64 t
+           (Int64.to_int (get_reg t b) + (8 * Int64.to_int (get_reg t ix)) + off)
+           (get_reg t s)
        | M.Mlea (d, b, ix, off) ->
-         let base = t.regs.(b) in
-         let idx = match ix with Some r -> Int64.mul 8L t.regs.(r) | None -> 0L in
-         t.regs.(d) <- Int64.add (Int64.add base idx) (Int64.of_int off)
-       | M.Mbin (op, d, a, b) ->
-         let va = t.regs.(a) and vb = opd t b in
-         let r =
-           try Refine_ir.Interp.eval_ibinop op va vb
-           with Refine_ir.Interp.Trap _ -> raise (Halt_trap Div_by_zero)
-         in
-         t.regs.(d) <- r;
-         set_flags t ~zf:(r = 0L) ~lt:(Int64.compare r 0L < 0) ~unord:false
+         let base = get_reg t b in
+         let idx = match ix with Some r -> Int64.mul 8L (get_reg t r) | None -> 0L in
+         set_reg t d (Int64.add (Int64.add base idx) (Int64.of_int off))
+       | M.Mbin (op, d, a, M.Reg b) -> ifin t d (ibinop op (get_reg t a) (get_reg t b))
+       | M.Mbin (op, d, a, M.Imm vb) -> ifin t d (ibinop op (get_reg t a) vb)
        | M.Mfbin (op, d, a, b) ->
-         t.regs.(d) <- b64 (Refine_ir.Interp.eval_fbinop op (f64 t.regs.(a)) (f64 t.regs.(b)))
-       | M.Mfun (op, d, a) -> t.regs.(d) <- b64 (Refine_ir.Interp.eval_funop op (f64 t.regs.(a)))
-       | M.Mcvt (Sitofp, d, a) -> t.regs.(d) <- b64 (Int64.to_float t.regs.(a))
-       | M.Mcvt (Fptosi, d, a) -> t.regs.(d) <- Refine_ir.Interp.fptosi (f64 t.regs.(a))
-       | M.Mcmp (a, b) ->
-         let va = t.regs.(a) and vb = opd t b in
-         let c = Int64.compare va vb in
-         set_flags t ~zf:(c = 0) ~lt:(c < 0) ~unord:false
+         set_reg t d (b64 (fbinop op (f64 (get_reg t a)) (f64 (get_reg t b))))
+       | M.Mfun (op, d, a) -> set_reg t d (b64 (funop op (f64 (get_reg t a))))
+       | M.Mcvt (Sitofp, d, a) -> set_reg t d (b64 (Int64.to_float (get_reg t a)))
+       | M.Mcvt (Fptosi, d, a) -> set_reg t d (fptosi (f64 (get_reg t a)))
+       | M.Mcmp (a, M.Reg b) -> set_fl t (flags_of (get_reg t a) (get_reg t b))
+       | M.Mcmp (a, M.Imm vb) -> set_fl t (flags_of (get_reg t a) vb)
        | M.Mfcmp (a, b) ->
-         let va = f64 t.regs.(a) and vb = f64 t.regs.(b) in
-         if Float.is_nan va || Float.is_nan vb then set_flags t ~zf:false ~lt:false ~unord:true
-         else set_flags t ~zf:(va = vb) ~lt:(va < vb) ~unord:false
-       | M.Msetcc (cc, d) -> t.regs.(d) <- (if eval_cc t cc then 1L else 0L)
+         let va = f64 (get_reg t a) and vb = f64 (get_reg t b) in
+         set_fl t
+           (if Float.is_nan va || Float.is_nan vb then 4
+            else (if va = vb then 1 else 0) lor if va < vb then 2 else 0)
+       | M.Msetcc (cc, d) -> set_reg t d (if eval_cc t cc then 1L else 0L)
        | M.Mjcc (cc, target) -> if eval_cc t cc then t.pc <- target
        | M.Mjmp target -> t.pc <- target
-       | M.Mpush r -> push t t.regs.(r)
-       | M.Mpop r -> t.regs.(r) <- pop t
-       | M.Mpushf -> push t t.regs.(R.flags)
-       | M.Mpopf -> t.regs.(R.flags) <- pop t
+       | M.Mpush r -> push t (get_reg t r)
+       | M.Mpop r -> set_reg t r (pop t)
+       | M.Mpushf -> push t (rget t R.flags)
+       | M.Mpopf -> rset t R.flags (pop t)
        | M.Mcalli target ->
          push t (Int64.of_int t.pc);
          t.pc <- target
@@ -536,7 +633,7 @@ let exec_instr (t : t) pc0 (i : M.t) =
          if slot >= 0 then t.handlers.(slot) t else do_callext t name
        | M.Mret ->
          let ra = pop t in
-         if ra = sentinel then t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr))
+         if ra = sentinel then t.status <- Exited (Int64.to_int (rget t R.ret_gpr))
          else begin
            let target = Int64.to_int ra in
            if target < 0 || target >= Array.length code then raise (Halt_trap (Bad_pc target))
@@ -546,26 +643,27 @@ let exec_instr (t : t) pc0 (i : M.t) =
          (* a pending multi-bit mask overrides the single-bit flip: the
             splice stays one instruction, the fault gets k bits (§18) *)
          if t.fi_mask <> 0L then begin
-           t.regs.(d) <- Int64.logxor t.regs.(d) t.fi_mask;
+           set_reg t d (Int64.logxor (get_reg t d) t.fi_mask);
            t.fi_mask <- 0L
          end
          else
-           t.regs.(d) <-
-             Int64.logxor t.regs.(d)
-               (Int64.shift_left 1L (Int64.to_int (Int64.logand t.regs.(s) 63L)))
+           set_reg t d
+             (Int64.logxor (get_reg t d)
+                (Int64.shift_left 1L (Int64.to_int (Int64.logand (get_reg t s) 63L))))
        | M.Mxorbitmem (b, off, s) ->
-         let addr = Int64.to_int t.regs.(b) + off in
+         let addr = Int64.to_int (get_reg t b) + off in
          let v = load64 t addr in
-         let mask =
-           if t.fi_mask <> 0L then begin
-             let m = t.fi_mask in
-             t.fi_mask <- 0L;
-             m
-           end
-           else Int64.shift_left 1L (Int64.to_int (Int64.logand t.regs.(s) 63L))
-         in
-         store64 t addr (Int64.logxor v mask)
-       | M.Mhalt -> t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr)));
+         (* two stores rather than one joined mask, which would be boxed;
+            neither can trap, [load64] validated [addr] *)
+         if t.fi_mask <> 0L then begin
+           store64 t addr (Int64.logxor v t.fi_mask);
+           t.fi_mask <- 0L
+         end
+         else
+           store64 t addr
+             (Int64.logxor v
+                (Int64.shift_left 1L (Int64.to_int (Int64.logand (get_reg t s) 63L))))
+       | M.Mhalt -> t.status <- Exited (Int64.to_int (rget t R.ret_gpr)));
        match t.post_hook with Some h -> h t pc0 i | None -> ()
      with Halt_trap tr -> t.status <- Trapped tr)
   end
@@ -618,21 +716,6 @@ let step (t : t) =
 
 type dop = t -> unit
 
-(* unaligned 64-bit little-endian access without the per-access Bytes
-   bounds check — [check_addr] has already validated the range *)
-external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external unsafe_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-external bswap64 : int64 -> int64 = "%bswap_int64"
-
-let[@inline always] dload64 t addr =
-  check_addr addr;
-  let v = unsafe_get64 t.mem addr in
-  if Sys.big_endian then bswap64 v else v
-
-let[@inline always] dstore64 t addr v =
-  check_addr addr;
-  unsafe_set64 t.mem addr (if Sys.big_endian then bswap64 v else v)
-
 (* retire-check: the legacy run loop's poll-slot test, executed after
    every retired constituent *)
 let[@inline always] rc (t : t) = if t.steps land 1023 = 0 then t.d_check ()
@@ -651,14 +734,17 @@ let[@inline always] d_live (t : t) =
   (match t.status with Running -> true | _ -> false)
   && t.steps < t.d_max_steps && t.cost < t.d_max_cost
 
-(* comparisons spelled with the int64-specialized operators: the compiler
-   compiles them to unboxed native compares instead of C calls *)
-let[@inline always] set_flags_r (t : t) (r : int64) =
-  let i = (if r = 0L then 1 else 0) lor if r < 0L then 2 else 0 in
-  Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words i)
+(* an integer op's tail: write the result and its flags, then the
+   retire-check; a toplevel inlined function rather than a closure over
+   [d], so the result never leaves a register *)
+let[@inline always] fin (t : t) d (r : int64) =
+  rset t d r;
+  set_flags_r t r;
+  rc t
 
-let[@inline always] flags_of (va : int64) (vb : int64) =
-  (if va = vb then 1 else 0) lor if va < vb then 2 else 0
+let[@inline always] ffin (t : t) d (r : float) =
+  rset t d (b64 r);
+  rc t
 
 (* integer condition codes as a FLAGS bit test: [Some (mask, want)] means
    the condition holds iff [(flags land mask <> 0) = want]; [None] for
@@ -692,7 +778,7 @@ let cc_fn (cc : M.cc) : int -> bool =
    supplies the class and extern-slot tables — always those of the
    original pc, matching [exec_instr], including for Instr_image overlay
    instructions.  Register indices are validated here so the closures use
-   unchecked array access; an operand outside the register file
+   unchecked register access; an operand outside the register file
    (impossible for layout output, and [Corrupt.mutate] clamps registers)
    falls back to the legacy [exec_instr]. *)
 let decode_one (image : L.image) (pc0 : int) (i : M.t) : dop =
@@ -711,295 +797,270 @@ let decode_one (image : L.image) (pc0 : int) (i : M.t) : dop =
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d (Array.unsafe_get t.regs s);
+      rset t d (rget t s);
       rc t
   | M.Mmov (d, M.Imm v) when okr d ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d v;
+      rset t d v;
       rc t
   | M.Mload (d, b, off) when okr d && okr b ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d (dload64 t (Int64.to_int (Array.unsafe_get t.regs b) + off));
+      rset t d (load64 t (Int64.to_int (rget t b) + off));
       rc t
   | M.Mstore (s, b, off) when okr s && okr b ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      dstore64 t (Int64.to_int (Array.unsafe_get t.regs b) + off) (Array.unsafe_get t.regs s);
+      store64 t (Int64.to_int (rget t b) + off) (rget t s);
       rc t
   | M.Mloadidx (d, b, ix, off) when okr d && okr b && okr ix ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d
-        (dload64 t
-           (Int64.to_int (Array.unsafe_get t.regs b)
-           + (8 * Int64.to_int (Array.unsafe_get t.regs ix))
-           + off));
+      rset t d (load64 t (Int64.to_int (rget t b) + (8 * Int64.to_int (rget t ix)) + off));
       rc t
   | M.Mstoreidx (s, b, ix, off) when okr s && okr b && okr ix ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      dstore64 t
-        (Int64.to_int (Array.unsafe_get t.regs b)
-        + (8 * Int64.to_int (Array.unsafe_get t.regs ix))
-        + off)
-        (Array.unsafe_get t.regs s);
+      store64 t (Int64.to_int (rget t b) + (8 * Int64.to_int (rget t ix)) + off) (rget t s);
       rc t
   | M.Mlea (d, b, Some ix, off) when okr d && okr b && okr ix ->
     let offl = Int64.of_int off in
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d
-        (Int64.add
-           (Int64.add (Array.unsafe_get t.regs b) (Int64.mul 8L (Array.unsafe_get t.regs ix)))
-           offl);
+      rset t d (Int64.add (Int64.add (rget t b) (Int64.mul 8L (rget t ix))) offl);
       rc t
   | M.Mlea (d, b, None, off) when okr d && okr b ->
     let offl = Int64.of_int off in
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d (Int64.add (Array.unsafe_get t.regs b) offl);
+      rset t d (Int64.add (rget t b) offl);
       rc t
-  | M.Mbin (op, d, a, b) when okr d && okr a && oko b ->
-    let fin (t : t) (r : int64) =
-      Array.unsafe_set t.regs d r;
-      set_flags_r t r;
-      rc t
-    in
-    (match b with
+  | M.Mbin (op, d, a, b) when okr d && okr a && oko b -> (
+    match b with
     | M.Imm vb -> (
       match (op : Refine_ir.Ir.ibinop) with
       | Add ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.add (Array.unsafe_get t.regs a) vb)
+          fin t d (Int64.add (rget t a) vb)
       | Sub ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.sub (Array.unsafe_get t.regs a) vb)
+          fin t d (Int64.sub (rget t a) vb)
       | Mul ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.mul (Array.unsafe_get t.regs a) vb)
+          fin t d (Int64.mul (rget t a) vb)
       | And ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.logand (Array.unsafe_get t.regs a) vb)
+          fin t d (Int64.logand (rget t a) vb)
       | Or ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.logor (Array.unsafe_get t.regs a) vb)
+          fin t d (Int64.logor (rget t a) vb)
       | Xor ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.logxor (Array.unsafe_get t.regs a) vb)
+          fin t d (Int64.logxor (rget t a) vb)
       | Shl ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.shift_left (Array.unsafe_get t.regs a) sh)
+          fin t d (Int64.shift_left (rget t a) sh)
       | Lshr ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.shift_right_logical (Array.unsafe_get t.regs a) sh)
+          fin t d (Int64.shift_right_logical (rget t a) sh)
       | Ashr ->
         let sh = Int64.to_int (Int64.logand vb 63L) in
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.shift_right (Array.unsafe_get t.regs a) sh)
+          fin t d (Int64.shift_right (rget t a) sh)
       | Div ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          let va = Array.unsafe_get t.regs a in
+          let va = rget t a in
           if vb = 0L then raise (Halt_trap Div_by_zero)
-          else if va = Int64.min_int && vb = -1L then fin t Int64.min_int
-          else fin t (Int64.div va vb)
+          else if va = Int64.min_int && vb = -1L then fin t d Int64.min_int
+          else fin t d (Int64.div va vb)
       | Rem ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          let va = Array.unsafe_get t.regs a in
+          let va = rget t a in
           if vb = 0L then raise (Halt_trap Div_by_zero)
-          else if va = Int64.min_int && vb = -1L then fin t 0L
-          else fin t (Int64.rem va vb))
+          else if va = Int64.min_int && vb = -1L then fin t d 0L
+          else fin t d (Int64.rem va vb))
     | M.Reg rb -> (
       match (op : Refine_ir.Ir.ibinop) with
       | Add ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.add (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+          fin t d (Int64.add (rget t a) (rget t rb))
       | Sub ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.sub (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+          fin t d (Int64.sub (rget t a) (rget t rb))
       | Mul ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.mul (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+          fin t d (Int64.mul (rget t a) (rget t rb))
       | And ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.logand (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+          fin t d (Int64.logand (rget t a) (rget t rb))
       | Or ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.logor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+          fin t d (Int64.logor (rget t a) (rget t rb))
       | Xor ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t (Int64.logxor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+          fin t d (Int64.logxor (rget t a) (rget t rb))
       | Shl ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t
-            (Int64.shift_left (Array.unsafe_get t.regs a)
-               (Int64.to_int (Int64.logand (Array.unsafe_get t.regs rb) 63L)))
+          fin t d (Int64.shift_left (rget t a) (Int64.to_int (Int64.logand (rget t rb) 63L)))
       | Lshr ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t
-            (Int64.shift_right_logical (Array.unsafe_get t.regs a)
-               (Int64.to_int (Int64.logand (Array.unsafe_get t.regs rb) 63L)))
+          fin t d
+            (Int64.shift_right_logical (rget t a) (Int64.to_int (Int64.logand (rget t rb) 63L)))
       | Ashr ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          fin t
-            (Int64.shift_right (Array.unsafe_get t.regs a)
-               (Int64.to_int (Int64.logand (Array.unsafe_get t.regs rb) 63L)))
+          fin t d (Int64.shift_right (rget t a) (Int64.to_int (Int64.logand (rget t rb) 63L)))
       | Div ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          let va = Array.unsafe_get t.regs a and vb = Array.unsafe_get t.regs rb in
+          let va = rget t a and vb = rget t rb in
           if vb = 0L then raise (Halt_trap Div_by_zero)
-          else if va = Int64.min_int && vb = -1L then fin t Int64.min_int
-          else fin t (Int64.div va vb)
+          else if va = Int64.min_int && vb = -1L then fin t d Int64.min_int
+          else fin t d (Int64.div va vb)
       | Rem ->
         fun t ->
           account t k;
           t.pc <- pc1;
-          let va = Array.unsafe_get t.regs a and vb = Array.unsafe_get t.regs rb in
+          let va = rget t a and vb = rget t rb in
           if vb = 0L then raise (Halt_trap Div_by_zero)
-          else if va = Int64.min_int && vb = -1L then fin t 0L
-          else fin t (Int64.rem va vb)))
-  | M.Mfbin (op, d, a, b) when okr d && okr a && okr b ->
-    let fin (t : t) r =
-      Array.unsafe_set t.regs d (b64 r);
-      rc t
-    in
-    (match (op : Refine_ir.Ir.fbinop) with
+          else if va = Int64.min_int && vb = -1L then fin t d 0L
+          else fin t d (Int64.rem va vb)))
+  | M.Mfbin (op, d, a, b) when okr d && okr a && okr b -> (
+    match (op : Refine_ir.Ir.fbinop) with
     | Fadd ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        fin t (f64 (Array.unsafe_get t.regs a) +. f64 (Array.unsafe_get t.regs b))
+        ffin t d (f64 (rget t a) +. f64 (rget t b))
     | Fsub ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        fin t (f64 (Array.unsafe_get t.regs a) -. f64 (Array.unsafe_get t.regs b))
+        ffin t d (f64 (rget t a) -. f64 (rget t b))
     | Fmul ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        fin t (f64 (Array.unsafe_get t.regs a) *. f64 (Array.unsafe_get t.regs b))
+        ffin t d (f64 (rget t a) *. f64 (rget t b))
     | Fdiv ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        fin t (f64 (Array.unsafe_get t.regs a) /. f64 (Array.unsafe_get t.regs b)))
+        ffin t d (f64 (rget t a) /. f64 (rget t b)))
   | M.Mfun (op, d, a) when okr d && okr a -> (
     match (op : Refine_ir.Ir.funop) with
     | Fneg ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        Array.unsafe_set t.regs d (b64 (-.f64 (Array.unsafe_get t.regs a)));
+        rset t d (b64 (-.f64 (rget t a)));
         rc t
     | Fsqrt ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        Array.unsafe_set t.regs d (b64 (sqrt (f64 (Array.unsafe_get t.regs a))));
+        rset t d (b64 (sqrt (f64 (rget t a))));
         rc t
     | Fabs ->
       fun t ->
         account t k;
         t.pc <- pc1;
-        Array.unsafe_set t.regs d (b64 (Float.abs (f64 (Array.unsafe_get t.regs a))));
+        rset t d (b64 (Float.abs (f64 (rget t a))));
         rc t)
   | M.Mcvt (Sitofp, d, a) when okr d && okr a ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d (b64 (Int64.to_float (Array.unsafe_get t.regs a)));
+      rset t d (b64 (Int64.to_float (rget t a)));
       rc t
   | M.Mcvt (Fptosi, d, a) when okr d && okr a ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d (Refine_ir.Interp.fptosi (f64 (Array.unsafe_get t.regs a)));
+      rset t d (fptosi (f64 (rget t a)));
       rc t
   | M.Mcmp (a, M.Imm vb) when okr a ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      let fl = flags_of (Array.unsafe_get t.regs a) vb in
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      let fl = flags_of (rget t a) vb in
+      set_fl t fl;
       rc t
   | M.Mcmp (a, M.Reg rb) when okr a && okr rb ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      let fl = flags_of (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb) in
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      let fl = flags_of (rget t a) (rget t rb) in
+      set_fl t fl;
       rc t
   | M.Mfcmp (a, b) when okr a && okr b ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      let va = f64 (Array.unsafe_get t.regs a) and vb = f64 (Array.unsafe_get t.regs b) in
+      let va = f64 (rget t a) and vb = f64 (rget t b) in
       let fl =
         if Float.is_nan va || Float.is_nan vb then 4
         else (if va = vb then 1 else 0) lor if va < vb then 2 else 0
       in
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      set_fl t fl;
       rc t
   | M.Msetcc (cc, d) when okr d ->
     let test = cc_fn cc in
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs d
-        (if test (Int64.to_int (Array.unsafe_get t.regs R.flags)) then 1L else 0L);
+      rset t d
+        (if test (Int64.to_int (rget t R.flags)) then 1L else 0L);
       rc t
   | M.Mjcc (cc, target) -> (
     match int_cc cc with
@@ -1007,7 +1068,7 @@ let decode_one (image : L.image) (pc0 : int) (i : M.t) : dop =
       fun t ->
         account t k;
         t.pc <- pc1;
-        let fl = Int64.to_int (Array.unsafe_get t.regs R.flags) in
+        let fl = Int64.to_int (rget t R.flags) in
         if (fl land mask <> 0) = want then t.pc <- target;
         rc t
     | None ->
@@ -1015,7 +1076,7 @@ let decode_one (image : L.image) (pc0 : int) (i : M.t) : dop =
       fun t ->
         account t k;
         t.pc <- pc1;
-        if test (Int64.to_int (Array.unsafe_get t.regs R.flags)) then t.pc <- target;
+        if test (Int64.to_int (rget t R.flags)) then t.pc <- target;
         rc t)
   | M.Mjmp target ->
     fun t ->
@@ -1026,25 +1087,25 @@ let decode_one (image : L.image) (pc0 : int) (i : M.t) : dop =
     fun t ->
       account t k;
       t.pc <- pc1;
-      push t (Array.unsafe_get t.regs r);
+      push t (rget t r);
       rc t
   | M.Mpop r when okr r ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      Array.unsafe_set t.regs r (pop t);
+      rset t r (pop t);
       rc t
   | M.Mpushf ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      push t t.regs.(R.flags);
+      push t (rget t R.flags);
       rc t
   | M.Mpopf ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      t.regs.(R.flags) <- pop t;
+      rset t R.flags (pop t);
       rc t
   | M.Mcalli target ->
     (* the return address is a decode-time constant: no box per call *)
@@ -1082,7 +1143,7 @@ let decode_one (image : L.image) (pc0 : int) (i : M.t) : dop =
       account t k;
       t.pc <- pc1;
       let ra = pop t in
-      if ra = sentinel then t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr))
+      if ra = sentinel then t.status <- Exited (Int64.to_int (rget t R.ret_gpr))
       else begin
         let target = Int64.to_int ra in
         if target < 0 || target >= code_len then raise (Halt_trap (Bad_pc target))
@@ -1094,36 +1155,36 @@ let decode_one (image : L.image) (pc0 : int) (i : M.t) : dop =
       account t k;
       t.pc <- pc1;
       (if t.fi_mask <> 0L then begin
-         Array.unsafe_set t.regs d (Int64.logxor (Array.unsafe_get t.regs d) t.fi_mask);
+         rset t d (Int64.logxor (rget t d) t.fi_mask);
          t.fi_mask <- 0L
        end
        else
-         Array.unsafe_set t.regs d
-           (Int64.logxor (Array.unsafe_get t.regs d)
+         rset t d
+           (Int64.logxor (rget t d)
               (Int64.shift_left 1L
-                 (Int64.to_int (Int64.logand (Array.unsafe_get t.regs s) 63L)))));
+                 (Int64.to_int (Int64.logand (rget t s) 63L)))));
       rc t
   | M.Mxorbitmem (b, off, s) when okr b && okr s ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      let addr = Int64.to_int (Array.unsafe_get t.regs b) + off in
-      let v = dload64 t addr in
-      let mask =
-        if t.fi_mask <> 0L then begin
-          let m = t.fi_mask in
-          t.fi_mask <- 0L;
-          m
-        end
-        else Int64.shift_left 1L (Int64.to_int (Int64.logand (Array.unsafe_get t.regs s) 63L))
-      in
-      dstore64 t addr (Int64.logxor v mask);
+      let addr = Int64.to_int (rget t b) + off in
+      let v = load64 t addr in
+      (* two stores rather than one joined mask, which would be boxed;
+         neither can trap, [load64] validated [addr] *)
+      if t.fi_mask <> 0L then begin
+        store64 t addr (Int64.logxor v t.fi_mask);
+        t.fi_mask <- 0L
+      end
+      else
+        store64 t addr
+          (Int64.logxor v (Int64.shift_left 1L (Int64.to_int (Int64.logand (rget t s) 63L))));
       rc t
   | M.Mhalt ->
     fun t ->
       account t k;
       t.pc <- pc1;
-      t.status <- Exited (Int64.to_int t.regs.(R.ret_gpr));
+      t.status <- Exited (Int64.to_int (rget t R.ret_gpr));
       rc t
   | _ -> via_legacy
 
@@ -1170,14 +1231,14 @@ let fuse_pair2 (image : L.image) pc0 a (b : M.mopd) ~mask ~want ~tgt : dop =
       | Some p ->
         p.class_steps.(k0) <- p.class_steps.(k0) + 1;
         p.class_steps.(k1) <- p.class_steps.(k1) + 1);
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      set_fl t fl;
       t.pc <- (if (fl land mask <> 0) = want then tgt else pc2)
     end
     else begin
       (* constituent-exact slow path across the boundary/edge *)
       account t k0;
       t.pc <- pc1;
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      set_fl t fl;
       rc t;
       if d_live t then begin
         account t k1;
@@ -1188,8 +1249,8 @@ let fuse_pair2 (image : L.image) pc0 a (b : M.mopd) ~mask ~want ~tgt : dop =
     end
   in
   match b with
-  | M.Imm vb -> fun t -> finish t (flags_of (Array.unsafe_get t.regs a) vb)
-  | M.Reg rb -> fun t -> finish t (flags_of (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+  | M.Imm vb -> fun t -> finish t (flags_of (rget t a) vb)
+  | M.Reg rb -> fun t -> finish t (flags_of (rget t a) (rget t rb))
 
 (* Hand-fused loop back edge: compare + conditional exit + backward jump,
    the bottom-of-loop shape of every counted MinC loop.  The jump
@@ -1213,25 +1274,23 @@ let fuse_loop3 (image : L.image) pc0 a (b : M.mopd) ~mask ~want ~tgt ~jt ~spin :
     let dc = 1 + t.hook_cost in
     if s land 1023 <= 1020 && t.d_max_steps - s >= 3 && t.d_max_cost - t.cost >= 3 * dc then begin
       (* batched: no poll slot or budget edge inside the triple *)
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
-      let prof2 () =
-        match t.prof with
-        | None -> ()
-        | Some p ->
-          p.class_steps.(k0) <- p.class_steps.(k0) + 1;
-          p.class_steps.(k1) <- p.class_steps.(k1) + 1
-      in
+      set_fl t fl;
+      (* cmp+jcc always retire (no local closure for this: it would be
+         allocated on every execution) *)
+      (match t.prof with
+      | None -> ()
+      | Some p ->
+        p.class_steps.(k0) <- p.class_steps.(k0) + 1;
+        p.class_steps.(k1) <- p.class_steps.(k1) + 1);
       if (fl land mask <> 0) = want then begin
         (* exit taken: only cmp+jcc retire *)
         t.steps <- s + 2;
         t.cost <- t.cost + (2 * dc);
-        prof2 ();
         t.pc <- tgt
       end
       else begin
         t.steps <- s + 3;
         t.cost <- t.cost + (3 * dc);
-        prof2 ();
         (match t.prof with
         | None -> ()
         | Some p -> p.class_steps.(k2) <- p.class_steps.(k2) + 1);
@@ -1261,7 +1320,7 @@ let fuse_loop3 (image : L.image) pc0 a (b : M.mopd) ~mask ~want ~tgt ~jt ~spin :
       (* constituent-exact slow path across the boundary/edge *)
       account t k0;
       t.pc <- pc1;
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      set_fl t fl;
       rc t;
       if d_live t then begin
         account t k1;
@@ -1282,8 +1341,8 @@ let fuse_loop3 (image : L.image) pc0 a (b : M.mopd) ~mask ~want ~tgt ~jt ~spin :
     end
   in
   match b with
-  | M.Imm vb -> fun t -> finish t (flags_of (Array.unsafe_get t.regs a) vb)
-  | M.Reg rb -> fun t -> finish t (flags_of (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs rb))
+  | M.Imm vb -> fun t -> finish t (flags_of (rget t a) vb)
+  | M.Reg rb -> fun t -> finish t (flags_of (rget t a) (rget t rb))
 
 (* Hand-fused counted-loop latch: a non-trapping integer op updating the
    latch register, the compare on it, and the conditional back edge, in
@@ -1314,26 +1373,15 @@ let fuse_latch3 (image : L.image) pc0 (op : Refine_ir.Ir.ibinop) d a (b : M.mopd
     let s = t.steps in
     let dc = 1 + t.hook_cost in
     if s land 1023 <= 1020 && t.d_max_steps - s >= 3 && t.d_max_cost - t.cost >= 3 * dc then begin
-      let va = Array.unsafe_get t.regs a in
-      let vb = match b with M.Imm v -> v | M.Reg r -> Array.unsafe_get t.regs r in
-      let r =
-        match op with
-        | Add -> Int64.add va vb
-        | Sub -> Int64.sub va vb
-        | Mul -> Int64.mul va vb
-        | And -> Int64.logand va vb
-        | Or -> Int64.logor va vb
-        | Xor -> Int64.logxor va vb
-        | Shl -> Int64.shift_left va (Int64.to_int (Int64.logand vb 63L))
-        | Lshr -> Int64.shift_right_logical va (Int64.to_int (Int64.logand vb 63L))
-        | Ashr -> Int64.shift_right va (Int64.to_int (Int64.logand vb 63L))
-        | Div | Rem -> assert false (* excluded at decode: they can trap *)
-      in
-      Array.unsafe_set t.regs d r;
-      let va2 = Array.unsafe_get t.regs a2 in
-      let vb2 = match b2 with M.Imm v -> v | M.Reg rr -> Array.unsafe_get t.regs rr in
-      let fl = flags_of va2 vb2 in
-      Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words fl);
+      (* operand forms are matched around the whole op, not joined into
+         one value first: a joined int64 would be boxed.  Div/Rem are
+         excluded at decode, so the op cannot trap here. *)
+      let va = rget t a in
+      let r = match b with M.Imm vb -> ibinop op va vb | M.Reg rb -> ibinop op va (rget t rb) in
+      rset t d r;
+      let va2 = rget t a2 in
+      let fl = match b2 with M.Imm vb2 -> flags_of va2 vb2 | M.Reg rb2 -> flags_of va2 (rget t rb2) in
+      set_fl t fl;
       t.steps <- s + 3;
       t.cost <- t.cost + (3 * dc);
       (match t.prof with
@@ -1365,8 +1413,8 @@ let fuse_latch3 (image : L.image) pc0 (op : Refine_ir.Ir.ibinop) d a (b : M.mopd
             in
             if k > 0 then begin
               let r' = Int64.add r (Int64.mul delta (Int64.of_int k)) in
-              Array.unsafe_set t.regs d r';
-              Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words (flags_of r' m));
+              rset t d r';
+              set_fl t (flags_of r' m);
               t.steps <- t.steps + (3 * k);
               t.cost <- t.cost + (3 * k * dc);
               match t.prof with
@@ -1429,7 +1477,7 @@ let fuse_splice (image : L.image) pc0 ~pf ~r0 ~post : dop =
   fun t ->
     let s = t.steps in
     let hc = t.hook_cost in
-    let sp = Int64.to_int (Array.unsafe_get t.regs R.rsp) in
+    let sp = Int64.to_int (rget t R.rsp) in
     if
       t.fi_sel_skip > 0
       && s land 1023 <= 1023 - len
@@ -1451,10 +1499,10 @@ let fuse_splice (image : L.image) pc0 ~pf ~r0 ~post : dop =
          fi_sel_pending and folded back by the runtime (Runtime.absorb or
          the next real selector call). *)
       let hcost = Array.unsafe_get t.handler_cost slot in
-      dstore64 t (sp - 8) (Array.unsafe_get t.regs r0);
-      if pf then dstore64 t (sp - 16) (Array.unsafe_get t.regs R.flags);
-      if ret_clobbered then Array.unsafe_set t.regs R.ret_gpr 0L;
-      if not pf then Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words 1);
+      store64 t (sp - 8) (rget t r0);
+      if pf then store64 t (sp - 16) (rget t R.flags);
+      if ret_clobbered then rset t R.ret_gpr 0L;
+      if not pf then set_fl t 1;
       t.steps <- s + len;
       t.cost <- t.cost + (len * (1 + hc)) + hcost;
       (match t.prof with
@@ -1482,9 +1530,9 @@ let fuse_splice (image : L.image) pc0 ~pf ~r0 ~post : dop =
       && sp <= Mem.mem_size
     then begin
       (* batched PreFI saves: no trap, poll slot or budget edge inside *)
-      dstore64 t (sp - 8) (Array.unsafe_get t.regs r0);
-      if pf then dstore64 t (sp - 16) (Array.unsafe_get t.regs R.flags);
-      Array.unsafe_set t.regs R.rsp (Int64.of_int (sp - (8 * npush)));
+      store64 t (sp - 8) (rget t r0);
+      if pf then store64 t (sp - 16) (rget t R.flags);
+      rset t R.rsp (Int64.of_int (sp - (8 * npush)));
       t.steps <- s + npush;
       t.cost <- t.cost + (npush * (1 + hc));
       (match t.prof with
@@ -1498,14 +1546,14 @@ let fuse_splice (image : L.image) pc0 ~pf ~r0 ~post : dop =
       t.handlers.(slot) t;
       if
         d_live t && t.pc = a + 1 && t.overlay_pc < 0
-        && Array.unsafe_get t.regs R.ret_gpr = 0L
+        && rget t R.ret_gpr = 0L
         && t.d_max_cost - t.cost >= (npush + 2) * (1 + hc)
       then begin
         (* batched non-firing tail: cmp 0,0 (equal); jcc taken; restores *)
-        (if pf then Array.unsafe_set t.regs R.flags (dload64 t (sp - 16))
-         else Array.unsafe_set t.regs R.flags (Array.unsafe_get flag_words 1));
-        Array.unsafe_set t.regs r0 (dload64 t (sp - 8));
-        Array.unsafe_set t.regs R.rsp (Int64.of_int sp);
+        (if pf then rset t R.flags (load64 t (sp - 16))
+         else set_fl t 1);
+        rset t r0 (load64 t (sp - 8));
+        rset t R.rsp (Int64.of_int sp);
         t.steps <- t.steps + npush + 2;
         t.cost <- t.cost + ((npush + 2) * (1 + hc));
         (match t.prof with
@@ -1742,6 +1790,7 @@ let flip_mem_bit (t : t) ~addr ~bit =
     invalid_arg (Printf.sprintf "Exec.flip_mem_bit: address 0x%x outside data memory" addr);
   if bit < 0 || bit > 7 then
     invalid_arg (Printf.sprintf "Exec.flip_mem_bit: bit %d out of [0,7]" bit);
+  mark t addr;
   let b = Char.code (Bytes.get t.mem addr) in
   Bytes.set t.mem addr (Char.chr (b lxor (1 lsl bit)))
 
@@ -1783,7 +1832,7 @@ let enable_profiling t =
    register file is not observable by the fingerprint — the cost budget
    remains the backstop for that (rare) shape. *)
 
-type fingerprint = { fp_hash : int; fp_pc : int; fp_heap : int; fp_out : int; fp_regs : int64 array }
+type fingerprint = { fp_hash : int; fp_pc : int; fp_heap : int; fp_out : int; fp_regs : Bytes.t }
 
 let fp_ring_size = 256
 
@@ -1794,18 +1843,20 @@ let fingerprint (t : t) =
   in
   mix t.pc;
   mix t.heap;
-  Array.iter (fun r -> mix (Int64.to_int r land max_int)) t.regs;
+  for r = 0 to R.num_regs - 1 do
+    mix (Int64.to_int (rget t r) land max_int)
+  done;
   {
     fp_hash = !h;
     fp_pc = t.pc;
     fp_heap = t.heap;
     fp_out = Buffer.length t.env.out;
-    fp_regs = Array.copy t.regs;
+    fp_regs = Bytes.copy t.regs;
   }
 
 let fp_equal a b =
   a.fp_hash = b.fp_hash && a.fp_pc = b.fp_pc && a.fp_heap = b.fp_heap && a.fp_out = b.fp_out
-  && a.fp_regs = b.fp_regs
+  && Bytes.equal a.fp_regs b.fp_regs
 
 (* Budgets arrive as int64 (the paper's cost model is 64-bit) but the hot
    loop compares native ints; anything at or above [max_int] means

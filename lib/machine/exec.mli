@@ -11,12 +11,14 @@
     costs, plus {!field:hook_cost} per instruction while a DBI-style hook
     is attached.
 
-    Fast path (DESIGN.md §14): step/cost counters are plain unboxed [int]
-    fields, FLAGS writes index a preallocated table, extern calls dispatch
-    through a per-engine handler array resolved once from the image's
-    [ext_slot_of_pc] table, and engines created from a {!snapshot} are
-    {!reset} between samples with a single [Bytes.blit].  The
-    per-instruction execute path allocates nothing when profiling is off. *)
+    Fast path (DESIGN.md §14): the register file is one [Bytes.t] of raw
+    64-bit words (register moves are unboxed, with no write barrier),
+    step/cost counters are plain unboxed [int] fields, extern calls
+    dispatch through a per-engine handler array resolved once from the
+    image's [ext_slot_of_pc] table, and engines created from a {!snapshot}
+    are {!reset} between samples by copying back only the 4 KiB pages
+    written since the last reset.  The per-instruction execute path
+    allocates nothing when profiling is off. *)
 
 val ext_call_cost : int
 (** Default modeled cost of a libc/libm extern call (25 units). *)
@@ -67,8 +69,17 @@ type dprogram
 
 type t = {
   image : Refine_backend.Layout.image;
-  regs : int64 array;  (** [Reg.num_regs] raw images: GPRs, FPRs, FLAGS *)
+  regs : Bytes.t;
+      (** [Reg.num_regs] raw 64-bit images (GPRs, FPRs, FLAGS), 8 bytes
+          each; read and write them with {!get_reg} / {!set_reg}. *)
   mem : Bytes.t;
+      (** data memory.  Write it only through this module ({!flip_mem_bit}
+          or executed instructions): every such write marks its page in
+          [dirty], and {!reset} restores only marked pages, so a byte
+          written behind [Exec]'s back would survive into the next sample. *)
+  dirty : Bytes.t;
+      (** one byte per 4 KiB page of [mem] (nonzero = written since the
+          last {!reset}), plus one guard byte.  Internal. *)
   mutable pc : int;
   mutable steps : int;  (** unboxed; 63 bits is ample for any modeled budget *)
   mutable cost : int;
@@ -140,8 +151,8 @@ type t = {
           call or by [Runtime.absorb] after the run.  Cleared by
           {!reset}. *)
   snap : Bytes.t option;
-      (** pristine memory blitted back by {!reset}; [None] for engines made
-          with {!create} *)
+      (** pristine memory {!reset} copies dirty pages back from; [None]
+          for engines made with {!create} *)
 }
 
 type result = {
@@ -153,6 +164,18 @@ type result = {
       (** the output was cut at the output quota — classification must
           never report it as a golden match *)
 }
+
+val get_reg : t -> int -> int64
+(** [get_reg t r] is register [r]'s raw 64-bit image (FPRs hold IEEE bits).
+    [Invalid_argument] if [r] is outside [[0, Reg.num_regs)]. *)
+
+val set_reg : t -> int -> int64 -> unit
+(** [set_reg t r v] writes register [r]; bounds-checked like {!get_reg}. *)
+
+val move_reg : t -> dst:int -> src:int -> unit
+(** [move_reg t ~dst ~src] copies register [src] into [dst] (bounds-checked
+    like {!get_reg}).  The value never leaves [Exec], so the copy
+    allocates nothing even where {!get_reg} is not inlined. *)
 
 val create : ?ext_extra:(string * int * (t -> unit)) list -> Refine_backend.Layout.image -> t
 (** Fresh machine state: globals initialized, stack holding the sentinel
@@ -172,12 +195,14 @@ val create_from_snapshot :
     reference to it so the engine supports {!reset}. *)
 
 val reset : ?ext_extra:(string * int * (t -> unit)) list -> t -> unit
-(** Restore a snapshot-backed engine to the pristine post-loader state with
-    a single [Bytes.blit]: registers zeroed, sp/pc/heap re-seated, output
-    buffer cleared, hooks/profiling/quotas dropped, and extern handlers
-    rebound against [ext_extra].  A reset engine is bit-identical to a
-    fresh {!create_from_snapshot} (asserted by the differential property
-    tests).  Raises [Invalid_argument] on engines made with {!create}. *)
+(** Restore a snapshot-backed engine to the pristine post-loader state:
+    the memory pages written since the last reset are copied back from the
+    snapshot (untouched pages are not), registers zeroed, sp/pc/heap
+    re-seated, output buffer cleared, hooks/profiling/quotas dropped, and
+    extern handlers rebound against [ext_extra].  A reset engine is
+    bit-identical to a fresh {!create_from_snapshot}, memory arena and
+    register file included (asserted by the differential property tests).
+    Raises [Invalid_argument] on engines made with {!create}. *)
 
 val step : t -> unit
 (** Execute one instruction (or set a trap status). *)

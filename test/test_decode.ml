@@ -29,7 +29,14 @@ let compile_image seed =
 let fingerprint (e : X.t) =
   Digest.to_hex
     (Digest.string
-       (Marshal.to_string (e.X.regs, Digest.bytes e.X.mem, e.X.pc, e.X.steps, e.X.cost, e.X.heap) []))
+       (Marshal.to_string
+          ( Array.init R.num_regs (X.get_reg e),
+            Digest.bytes e.X.mem,
+            e.X.pc,
+            e.X.steps,
+            e.X.cost,
+            e.X.heap )
+          []))
 
 (* --- engine-level differential over random programs -------------------- *)
 
