@@ -32,7 +32,11 @@ let kind_names = [| "REFINE"; "LLFI"; "PINFI" |]
 let m_exec_steps =
   Array.init 3 (fun t ->
       Array.init M.num_iclasses (fun k ->
-          Obs.Metrics.counter ~help:"simulated instructions by opcode class"
+          Obs.Metrics.counter
+            ~help:
+              "simulated instructions by opcode class (a sample resumed from a golden checkpoint \
+               counts only the instructions after it; with refine_fastforward_skipped_steps_total \
+               this sums to the full runs)"
             ~labels:[ ("tool", kind_names.(t)); ("class", M.iclass_name M.iclasses.(k)) ]
             "refine_exec_steps_total"))
 
@@ -254,6 +258,50 @@ let acquire ?(ext_extra = []) ~image ~snap ~snap_id () =
   else if E.decoded eng then E.install_decoded eng None;
   eng
 
+(* ---- golden-prefix fast-forward (DESIGN.md §21) -----------------------
+
+   Every injection run executes the golden run exactly up to its target
+   instance.  The second profiling run captures the engine state at up to
+   [checkpoints_per_run] evenly spaced poll slots, each tagged with the
+   control library's dynamic count there, and a sample resumes from the
+   latest checkpoint strictly before its target instead of re-simulating
+   that prefix. *)
+
+type checkpoint = { at_count : int; state : E.checkpoint }
+
+let checkpoints_per_run = 16
+
+(* a multiple of the 1024-step poll cadence, so a resumed run polls at the
+   same step counts as a run from the loader *)
+let checkpoint_interval steps =
+  let per = (steps + checkpoints_per_run - 1) / checkpoints_per_run in
+  max 1024 ((per + 1023) / 1024 * 1024)
+
+let m_ff_restores =
+  Array.init 3 (fun t ->
+      Obs.Metrics.counter ~help:"injection samples resumed from a golden-run checkpoint"
+        ~labels:[ ("tool", kind_names.(t)) ]
+        "refine_fastforward_restores_total")
+
+let m_ff_skipped =
+  Array.init 3 (fun t ->
+      Obs.Metrics.counter
+        ~help:
+          "golden-prefix instructions not simulated because the sample resumed from a checkpoint"
+        ~labels:[ ("tool", kind_names.(t)) ]
+        "refine_fastforward_skipped_steps_total")
+
+let ff_decline_reasons = [| "before-first-checkpoint"; "livelock"; "budget" |]
+
+let m_ff_declines =
+  Array.init 3 (fun t ->
+      Array.map
+        (fun reason ->
+          Obs.Metrics.counter ~help:"injection samples run from the loader state, by reason"
+            ~labels:[ ("tool", kind_names.(t)); ("reason", reason) ]
+            "refine_fastforward_declines_total")
+        ff_decline_reasons)
+
 type prepared = {
   kind : kind;
   sel : Selection.t;
@@ -262,6 +310,7 @@ type prepared = {
   snap_id : int; (* unique id keying the per-domain engine cache *)
   profile : Fault.profile;
   static_instrumented : int; (* instrumented sites (REFINE/LLFI); 0 for PINFI *)
+  golden : checkpoint array; (* golden-run checkpoints, ascending *)
 }
 
 exception Prepare_error of string
@@ -373,6 +422,7 @@ let finish_profile kind sel image snap snap_id static_instrumented (count : int)
     snap;
     snap_id;
     static_instrumented;
+    golden = [||];
     profile =
       {
         Fault.golden_output = r.output;
@@ -428,11 +478,14 @@ let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cac
     | Refine_mir.Mverify.Invalid msg -> raise (Quarantine ("mir-verifier", msg))
     | Refine_ir.Verify.Invalid msg -> raise (Quarantine ("ir-verifier", msg))
   in
-  (* first run becomes the golden profile; the second must agree with it *)
+  (* first run becomes the golden profile; the second must agree with it,
+     and captures the golden checkpoints at intervals sized from the first *)
   let finish_and_check static_n image snap snap_id profile_once =
-    let count1, r1 = profile_once () in
+    let count1, r1, _ = profile_once ~interval:0 in
     let p = finish_profile kind sel image snap snap_id static_n count1 r1 in
-    let count2, r2 = profile_once () in
+    let count2, r2, golden =
+      profile_once ~interval:(checkpoint_interval (Int64.to_int r1.E.steps))
+    in
     let out2 = if chaos.flaky_golden then r2.E.output ^ "#chaos" else r2.E.output in
     let exit2 = match r2.E.status with E.Exited c -> c | _ -> min_int in
     if
@@ -448,7 +501,7 @@ let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cac
                (String.length p.profile.Fault.golden_output)
                (String.length out2) p.profile.Fault.golden_exit exit2
                p.profile.Fault.dyn_count (Int64.of_int count2) ));
-    p
+    { p with golden }
   in
   let ctx = { Refine_passes.Pass.sel; save_flags = true } in
   (* tool-independent IR prefix (shared via the IR cache tier), then the
@@ -466,33 +519,49 @@ let prepare_uncached ?phases ~sel ~full ~max_steps ~verify_mir ~verify_each ~cac
   in
   let static_n = out.Pl.fi_sites in
   let snap = E.snapshot image and snap_id = Atomic.fetch_and_add next_snap_id 1 in
-  let profile_once () =
+  (* [interval > 0]: also capture a golden checkpoint at every multiple of
+     [interval] steps, tagged with the control library's dynamic count *)
+  let profile_once ~interval =
+    let golden = ref [] in
+    let execute (eng : E.t) count =
+      let poll () =
+        if eng.E.steps mod interval = 0 && eng.E.status = E.Running then
+          golden := { at_count = count (); state = E.capture eng } :: !golden
+      in
+      let poll = if interval > 0 then Some poll else None in
+      let r = time "execute" (fun () -> E.run ~max_steps ?poll eng) in
+      (r, Array.of_list (List.rev !golden))
+    in
     match kind with
     | Refine ->
       let ctrl = Runtime.create Runtime.Profile in
       let eng = acquire ~ext_extra:(Runtime.refine_handlers ctrl) ~image ~snap ~snap_id () in
       maybe_profile eng;
-      let r = time "execute" (fun () -> E.run ~max_steps eng) in
+      (* selector calls the fused splice retired are still banked in the
+         engine; reading them without folding leaves the run untouched *)
+      let r, golden =
+        execute eng (fun () -> ctrl.Runtime.count + eng.E.fi_sel_pending)
+      in
       Runtime.absorb ctrl eng;
       flush_obs kind eng ~fi_hits:ctrl.Runtime.count ~run_cost:r.E.cost;
-      (ctrl.Runtime.count, r)
+      (ctrl.Runtime.count, r, golden)
     | Llfi ->
       let ctrl = Runtime.create Runtime.Profile in
       let eng = acquire ~ext_extra:(Runtime.llfi_handlers ctrl) ~image ~snap ~snap_id () in
       maybe_profile eng;
-      let r = time "execute" (fun () -> E.run ~max_steps eng) in
+      let r, golden = execute eng (fun () -> ctrl.Runtime.count) in
       Runtime.absorb ctrl eng;
       flush_obs kind eng ~fi_hits:ctrl.Runtime.count ~run_cost:r.E.cost;
-      (ctrl.Runtime.count, r)
+      (ctrl.Runtime.count, r, golden)
     | Pinfi ->
       let ctrl = Pinfi.create ~sel Runtime.Profile in
       let eng = acquire ~image ~snap ~snap_id () in
       (* attaching the DBI hook is PINFI's (tiny) instrumentation phase *)
       time "instrument" (fun () -> Pinfi.attach ctrl eng);
       maybe_profile eng;
-      let r = time "execute" (fun () -> E.run ~max_steps eng) in
+      let r, golden = execute eng (fun () -> ctrl.Pinfi.count) in
       flush_obs kind eng ~fi_hits:ctrl.Pinfi.count ~run_cost:r.E.cost;
-      (ctrl.Pinfi.count, r)
+      (ctrl.Pinfi.count, r, golden)
   in
   finish_and_check static_n image snap snap_id profile_once
 
@@ -529,7 +598,52 @@ let prepare ?phases ?(sel = Selection.default) ?(pipeline = default_pipeline)
 
 exception Sample_budget_exceeded of int64
 
-(* One fault-injection experiment: pick a uniform dynamic target, run,
+(* The checkpoint a sample resumes from, or [None] to run from the loader
+   state.  Strictly before the target: a checkpoint whose count equals
+   [target] was captured after the target instance executed.  Under a run
+   envelope that would have stopped the golden prefix (a cost cap, or an
+   output or heap quota below the golden run's), the latest checkpoint the
+   envelope still reaches is taken instead. *)
+let resume_point (p : prepared) quotas ~target ~max_cost ~output_quota =
+  let decline reason =
+    if Obs.Control.enabled () then Obs.Metrics.inc m_ff_declines.(kind_index p.kind).(reason);
+    None
+  in
+  if not !use_fast_path then None
+  else if quotas.livelock_window <> None then
+    (* "livelock": the fingerprint ring must see the whole run *)
+    decline 1
+  else if Array.length p.golden = 0 || p.golden.(0).at_count >= target then
+    decline 0 (* "before-first-checkpoint" *)
+  else begin
+    let n = ref 0 in
+    while
+      !n < Array.length p.golden
+      && p.golden.(!n).at_count < target
+      && E.reaches p.golden.(!n).state ~max_cost ~output_quota ~heap_quota:quotas.heap_bytes
+    do
+      incr n
+    done;
+    if !n = 0 then decline 2 (* "budget" *) else Some p.golden.(!n - 1)
+  end
+
+(* Put a freshly acquired engine at [from] (if any) and hand the control
+   library its dynamic count there; returns that count, the number of
+   site visits the sample did not simulate. *)
+let fast_forward kind (eng : E.t) from set_count =
+  match from with
+  | None -> 0
+  | Some c ->
+    E.restore eng c.state;
+    set_count c.at_count;
+    if Obs.Control.enabled () then begin
+      let t = kind_index kind in
+      Obs.Metrics.inc m_ff_restores.(t);
+      Obs.Metrics.add64 m_ff_skipped.(t) (Int64.of_int (E.checkpoint_steps c.state))
+    end;
+    c.at_count
+
+(* One fault-injection experiment at dynamic instance [target]: run and
    classify against the golden output, with the 10x-profiling timeout.
 
    [cost_cap] is the harness watchdog: a modeled-cost budget below the
@@ -544,63 +658,71 @@ exception Sample_budget_exceeded of int64
    (DESIGN.md §13): tripped quotas end the run [Trapped] and classify as
    Crash — an outcome, never an exception, so the supervisor burns no
    retries on them. *)
-let run_injection ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
-    (p : prepared) (rng : P.t) : Fault.experiment =
+let run_injection_at ?cost_cap ?(quotas = no_quotas) ?(model = Fault.Reg_bit) ?poll
+    (p : prepared) ~target (rng : P.t) : Fault.experiment =
+  let timeout = Int64.mul Fi_cost.timeout_factor p.profile.Fault.profile_cost in
+  let max_cost, capped =
+    match cost_cap with
+    | Some c when Int64.compare c timeout < 0 -> (c, true)
+    | _ -> (timeout, false)
+  in
+  let output_quota = effective_output_quota quotas p.profile in
+  let sandboxed_run eng =
+    E.run ~max_cost ?output_quota ?heap_quota:quotas.heap_bytes ?wall_clock:quotas.wall_clock_s
+      ~clock:Obs.Control.now ?livelock:quotas.livelock_window ?poll eng
+  in
+  note_injection p.kind model;
+  let from = resume_point p quotas ~target ~max_cost ~output_quota in
+  let mode = Runtime.Inject { target; rng; model } in
+  let r, record =
+    match p.kind with
+    | Refine ->
+      let ctrl = Runtime.create mode in
+      let eng =
+        acquire ~ext_extra:(Runtime.refine_handlers ctrl) ~image:p.image ~snap:p.snap
+          ~snap_id:p.snap_id ()
+      in
+      let skipped = fast_forward p.kind eng from (fun n -> ctrl.Runtime.count <- n) in
+      maybe_profile eng;
+      let r = sandboxed_run eng in
+      Runtime.absorb ctrl eng;
+      flush_obs p.kind eng ~fi_hits:(ctrl.Runtime.count - skipped) ~run_cost:r.E.cost;
+      (r, ctrl.Runtime.record)
+    | Llfi ->
+      let ctrl = Runtime.create mode in
+      let eng =
+        acquire ~ext_extra:(Runtime.llfi_handlers ctrl) ~image:p.image ~snap:p.snap
+          ~snap_id:p.snap_id ()
+      in
+      let skipped = fast_forward p.kind eng from (fun n -> ctrl.Runtime.count <- n) in
+      maybe_profile eng;
+      let r = sandboxed_run eng in
+      Runtime.absorb ctrl eng;
+      flush_obs p.kind eng ~fi_hits:(ctrl.Runtime.count - skipped) ~run_cost:r.E.cost;
+      (r, ctrl.Runtime.record)
+    | Pinfi ->
+      let ctrl = Pinfi.create ~sel:p.sel mode in
+      let eng = acquire ~image:p.image ~snap:p.snap ~snap_id:p.snap_id () in
+      let skipped = fast_forward p.kind eng from (fun n -> ctrl.Pinfi.count <- n) in
+      Pinfi.attach ctrl eng;
+      maybe_profile eng;
+      let r = sandboxed_run eng in
+      flush_obs p.kind eng ~fi_hits:(ctrl.Pinfi.count - skipped) ~run_cost:r.E.cost;
+      (r, ctrl.Pinfi.record)
+  in
+  note_quota_trip r;
+  if capped && r.E.status = E.Timed_out then raise (Sample_budget_exceeded r.E.cost);
+  { Fault.outcome = Fault.classify p.profile r; run_cost = r.E.cost; fault = record }
+
+(* One fault-injection experiment at a uniformly drawn dynamic target. *)
+let run_injection ?cost_cap ?quotas ?model ?poll (p : prepared) (rng : P.t) : Fault.experiment =
   if p.profile.Fault.dyn_count = 0L then
     { Fault.outcome = Fault.Benign; run_cost = 0L; fault = None }
-  else begin
+  else
     let target = Int64.to_int (Int64.add 1L (P.int64 rng p.profile.Fault.dyn_count)) in
-    let timeout = Int64.mul Fi_cost.timeout_factor p.profile.Fault.profile_cost in
-    let max_cost, capped =
-      match cost_cap with
-      | Some c when Int64.compare c timeout < 0 -> (c, true)
-      | _ -> (timeout, false)
-    in
-    let sandboxed_run eng =
-      E.run ~max_cost
-        ?output_quota:(effective_output_quota quotas p.profile)
-        ?heap_quota:quotas.heap_bytes ?wall_clock:quotas.wall_clock_s ~clock:Obs.Control.now
-        ?livelock:quotas.livelock_window ?poll eng
-    in
-    note_injection p.kind model;
-    let mode = Runtime.Inject { target; rng; model } in
-    let r, record =
-      match p.kind with
-      | Refine ->
-        let ctrl = Runtime.create mode in
-        let eng =
-          acquire ~ext_extra:(Runtime.refine_handlers ctrl) ~image:p.image ~snap:p.snap
-            ~snap_id:p.snap_id ()
-        in
-        maybe_profile eng;
-        let r = sandboxed_run eng in
-        Runtime.absorb ctrl eng;
-        flush_obs p.kind eng ~fi_hits:ctrl.Runtime.count ~run_cost:r.E.cost;
-        (r, ctrl.Runtime.record)
-      | Llfi ->
-        let ctrl = Runtime.create mode in
-        let eng =
-          acquire ~ext_extra:(Runtime.llfi_handlers ctrl) ~image:p.image ~snap:p.snap
-            ~snap_id:p.snap_id ()
-        in
-        maybe_profile eng;
-        let r = sandboxed_run eng in
-        Runtime.absorb ctrl eng;
-        flush_obs p.kind eng ~fi_hits:ctrl.Runtime.count ~run_cost:r.E.cost;
-        (r, ctrl.Runtime.record)
-      | Pinfi ->
-        let ctrl = Pinfi.create ~sel:p.sel mode in
-        let eng = acquire ~image:p.image ~snap:p.snap ~snap_id:p.snap_id () in
-        Pinfi.attach ctrl eng;
-        maybe_profile eng;
-        let r = sandboxed_run eng in
-        flush_obs p.kind eng ~fi_hits:ctrl.Pinfi.count ~run_cost:r.E.cost;
-        (r, ctrl.Pinfi.record)
-    in
-    note_quota_trip r;
-    if capped && r.E.status = E.Timed_out then raise (Sample_budget_exceeded r.E.cost);
-    { Fault.outcome = Fault.classify p.profile r; run_cost = r.E.cost; fault = record }
-  end
+    run_injection_at ?cost_cap ?quotas ?model ?poll p ~target rng
+
+let checkpoint_counts (p : prepared) = Array.to_list (Array.map (fun c -> c.at_count) p.golden)
 
 (* Fault-free run of the prepared binary (used by tests and examples). *)
 let run_clean (p : prepared) : E.result =

@@ -44,9 +44,11 @@ val use_fast_path : bool ref
 (** When [true] (the default), every simulator run acquires a
     snapshot-backed engine from a per-domain cache and {!reset}s it
     (DESIGN.md §14) instead of allocating fresh machine state per sample.
-    Set to [false] to force the legacy allocate-per-sample path; campaign
-    results are bit-identical either way (asserted by the fast-path test
-    suite). *)
+    Set to [false] to force the legacy allocate-per-sample path, which
+    also runs every injection sample from the loader state instead of
+    resuming it from a golden checkpoint (DESIGN.md §21); campaign results
+    are bit-identical either way (asserted by the fast-path and
+    fast-forward test suites). *)
 
 val use_decode : bool ref
 (** When [true] (the default), engines handed out for simulator runs carry
@@ -62,6 +64,12 @@ val use_detach : bool ref
     [perfbench/perfbench.ml] saves and restores it around its reference
     oracle; remove together with that use. *)
 
+type checkpoint
+(** A golden-run checkpoint (DESIGN.md §21): the machine state at one
+    1024-step poll slot of the fault-free run, tagged with the control
+    library's dynamic count there.  Immutable; shared across domains and
+    through the prepared cache tier. *)
+
 type prepared = {
   kind : kind;
   sel : Selection.t;
@@ -71,6 +79,9 @@ type prepared = {
   snap_id : int;  (** unique id keying the per-domain engine cache *)
   profile : Fault.profile;  (** golden output + dynamic target count *)
   static_instrumented : int;  (** instrumentation sites; 0 for PINFI *)
+  golden : checkpoint array;
+      (** up to 16 evenly spaced checkpoints of the second profiling run,
+          in run order; injection samples resume from them *)
 }
 (** A tool's binary after compilation and one profiling run.  The same
     binary serves profiling and injection, as in the paper. *)
@@ -213,7 +224,31 @@ val run_injection :
     inert: hitting the 10x timeout stays a Crash, the paper's semantics).
     [quotas] (default {!no_quotas}) is the sandbox envelope; tripped quotas
     classify as Crash.  [poll] is invoked every 1024 simulated
-    instructions, letting a cancellation token abort in-flight samples. *)
+    instructions, letting a cancellation token abort in-flight samples.
+
+    Golden-prefix fast-forward (DESIGN.md §21): the run starts from the
+    latest golden checkpoint whose dynamic count is below the target, so
+    only the instructions after it are simulated — and only they count
+    toward [poll], [quotas.wall_clock_s] and the executor metrics.  The
+    result is bit-identical to a run from the loader state, which is what
+    a sample gets when its target precedes the first checkpoint, when
+    [quotas.livelock_window] is set, or when {!use_fast_path} is off. *)
+
+val run_injection_at :
+  ?cost_cap:int64 ->
+  ?quotas:quotas ->
+  ?model:Fault.model ->
+  ?poll:(unit -> unit) ->
+  prepared ->
+  target:int ->
+  Refine_support.Prng.t ->
+  Fault.experiment
+(** {!run_injection} with the dynamic target instance given
+    ([1 <= target <= dyn_count]) instead of drawn; the PRNG still draws
+    the struck operand and bits.  Used to pin targets in tests. *)
+
+val checkpoint_counts : prepared -> int list
+(** The control library's dynamic count at each of [golden], in order. *)
 
 val run_clean : prepared -> Refine_machine.Exec.result
 (** Fault-free run of the prepared binary (injection disabled). *)

@@ -525,6 +525,113 @@ let reset ?(ext_extra = []) (t : t) : unit =
   List.iter (fun (name, cost, fn) -> Hashtbl.replace t.ext_extra name (cost, fn)) ext_extra;
   t.handlers <- bind_handlers t
 
+(* --- golden-prefix checkpoints (DESIGN.md §21) --------------------------
+
+   A checkpoint is the architectural state of a running engine relative to
+   its loader image: the memory that differs from the snapshot, the
+   register file, the counters and the output so far.  Only pages the
+   dirty map marks can differ; within them, memory is kept in
+   [diff_block]-byte blocks, since a written page is often mostly pristine
+   (the top of the stack, a partly used heap page).  Restoring onto a
+   freshly reset engine of the same image gives exactly the state a run
+   from the loader reaches at that step; the restored pages are marked
+   dirty so the next [reset] undoes them. *)
+type checkpoint = {
+  c_image : L.image;
+  c_runs : (int * int) array; (* (address, length) of differing memory, ascending *)
+  c_data : Bytes.t; (* the runs' bytes, concatenated *)
+  c_regs : Bytes.t;
+  c_pc : int;
+  c_steps : int;
+  c_cost : int;
+  c_heap : int;
+  c_hook_cost : int;
+  c_output : string;
+}
+
+let diff_block = 256
+
+let block_differs (t : t) a =
+  match t.snap with
+  | None -> true (* no pristine copy to compare with: keep the whole page *)
+  | Some snap ->
+    let rec go i =
+      i < diff_block
+      && ((not (Int64.equal (unsafe_get64 t.mem (a + i)) (unsafe_get64 snap (a + i))))
+         || go (i + 8))
+    in
+    go 0
+
+let capture (t : t) : checkpoint =
+  (* runs in reverse, adjacent differing blocks merged *)
+  let runs = ref [] and total = ref 0 in
+  for p = 0 to num_pages - 1 do
+    if Bytes.unsafe_get t.dirty p <> '\000' then
+      for b = 0 to (page_size / diff_block) - 1 do
+        let a = (p lsl page_bits) + (b * diff_block) in
+        if block_differs t a then begin
+          total := !total + diff_block;
+          match !runs with
+          | (a0, l) :: rest when a0 + l = a -> runs := (a0, l + diff_block) :: rest
+          | rs -> runs := (a, diff_block) :: rs
+        end
+      done
+  done;
+  let runs = Array.of_list (List.rev !runs) in
+  let c_data = Bytes.create !total in
+  let k = ref 0 in
+  Array.iter
+    (fun (a, l) ->
+      Bytes.blit t.mem a c_data !k l;
+      k := !k + l)
+    runs;
+  {
+    c_image = t.image;
+    c_runs = runs;
+    c_data;
+    c_regs = Bytes.copy t.regs;
+    c_pc = t.pc;
+    c_steps = t.steps;
+    c_cost = t.cost;
+    c_heap = t.heap;
+    c_hook_cost = t.hook_cost;
+    c_output = Buffer.contents t.env.out;
+  }
+
+let restore (t : t) (c : checkpoint) =
+  if
+    t.image != c.c_image || t.snap = None || t.steps <> 0 || t.status <> Running
+    || Bytes.exists (fun b -> b <> '\000') t.dirty
+  then invalid_arg "Exec.restore: needs a freshly reset snapshot engine of the checkpoint's image";
+  let k = ref 0 in
+  Array.iter
+    (fun (a, l) ->
+      Bytes.blit c.c_data !k t.mem a l;
+      k := !k + l;
+      for p = a lsr page_bits to (a + l - 1) lsr page_bits do
+        Bytes.unsafe_set t.dirty p '\001'
+      done)
+    c.c_runs;
+  Bytes.blit c.c_regs 0 t.regs 0 (Bytes.length t.regs);
+  t.pc <- c.c_pc;
+  t.steps <- c.c_steps;
+  t.cost <- c.c_cost;
+  t.heap <- c.c_heap;
+  t.hook_cost <- c.c_hook_cost;
+  Buffer.clear t.env.out;
+  Buffer.add_string t.env.out c.c_output
+
+let checkpoint_steps c = c.c_steps
+
+(* Every budget and quota [run] enforces grows monotonically along a run,
+   so a run from the loader under them stops before the checkpoint iff it
+   has already crossed one at the checkpoint. *)
+let reaches c ~max_cost ~output_quota ~heap_quota =
+  Int64.compare (Int64.of_int c.c_cost) max_cost < 0
+  && (match output_quota with Some q -> String.length c.c_output <= max 0 q | None -> true)
+  &&
+  match heap_quota with Some q -> c.c_heap - c.c_image.L.heap_base <= q | None -> true
+
 (* --- single step -------------------------------------------------------- *)
 
 (* Operation semantics, inlined at every use so operands and results stay

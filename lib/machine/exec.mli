@@ -204,6 +204,41 @@ val reset : ?ext_extra:(string * int * (t -> unit)) list -> t -> unit
     register file included (asserted by the differential property tests).
     Raises [Invalid_argument] on engines made with {!create}. *)
 
+(** {1 Golden-prefix checkpoints (DESIGN.md §21)} *)
+
+type checkpoint
+(** The architectural state of a running engine relative to its loader
+    image: the memory written since the last {!reset} that differs from
+    the snapshot (in 256-byte blocks; whole written pages for engines made
+    with {!create}), the register file, [pc], [steps], [cost], [heap],
+    [hook_cost] and the output so far.  Immutable once captured; one
+    checkpoint may be restored by any number of engines, on any domain. *)
+
+val capture : t -> checkpoint
+(** Capture the engine's current state.  Exact when called between
+    instructions — from a {!run} [poll] callback, every 1024-step poll
+    slot of either engine (fused superinstructions included) leaves the
+    machine in the legacy interpreter's architectural state. *)
+
+val restore : t -> checkpoint -> unit
+(** Put a freshly {!reset} (or freshly {!create_from_snapshot}ed)
+    snapshot engine of the checkpoint's image into the captured state.
+    The pages it writes are marked dirty, so the next {!reset} undoes them.
+    Hooks, handlers, profiling and the decoded program are left as they
+    are.  [Invalid_argument] if the engine is not snapshot-backed, has a
+    different image, or has executed or written anything since its reset. *)
+
+val checkpoint_steps : checkpoint -> int
+(** Instructions executed before the checkpoint was captured. *)
+
+val reaches :
+  checkpoint -> max_cost:int64 -> output_quota:int option -> heap_quota:int option -> bool
+(** Whether a run started from the loader state under these {!run} budgets
+    gets past the checkpoint without stopping: its cost is below
+    [max_cost], its output fits the output quota and its heap fits the heap
+    quota.  All three only grow along a run, so when this holds, resuming
+    from the checkpoint under the same budgets is exact. *)
+
 val step : t -> unit
 (** Execute one instruction (or set a trap status). *)
 

@@ -194,6 +194,8 @@ let () =
       "refine_fi_site_hits_total";
       "refine_run_cost_units_total";
       "refine_supervisor_tasks_total";
+      "refine_fastforward_restores_total";
+      "refine_fastforward_skipped_steps_total";
     ];
 
   (* the Prometheus dump exists and carries the histogram plumbing *)

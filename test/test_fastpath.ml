@@ -106,6 +106,33 @@ let prop_snapshot_reset_identical =
       check ~fault "faulted again";
       true)
 
+(* A counted loop whose first 1024-step poll slot falls inside the fused
+   loop-back superinstruction: 6 setup instructions (a store and a push,
+   so a checkpoint carries written pages), then 5 per iteration, so slot
+   1024 comes after the compare of iteration 204 with the conditional
+   exit at pc 9, the interior of the cmp/jcc/jmp triple headed at pc 8,
+   still to retire. *)
+let slot_loop_pc = 9
+
+let slot_loop_image () =
+  let g = R.gpr in
+  image_of
+    [
+      M.Mmov (g 3, M.Imm (Int64.of_int (3 * 1024 * 1024)));
+      M.Mmov (g 4, M.Imm 0x0102030405060708L);
+      M.Mstore (g 4, g 3, 0);
+      M.Mpush (g 4);
+      M.Mmov (g 1, M.Imm 0L);
+      M.Mmov (g 5, M.Imm 7L);
+      M.Mbin (Add, g 1, g 1, M.Imm 1L) (* pc 6: loop head *);
+      M.Mmov (g 6, M.Reg (g 1));
+      M.Mcmp (g 1, M.Imm 1000L) (* pc 8: loop-back superinstruction head *);
+      M.Mjcc (M.CGe, 11);
+      M.Mjmp 6;
+      M.Mmov (R.ret_gpr, M.Imm 0L);
+      M.Mhalt;
+    ]
+
 (* --- dirty-page reset covers every write path --------------------------- *)
 
 (* Run [instrs] on a snapshot engine (legacy or decoded), check the run
@@ -192,7 +219,35 @@ let test_reset_restores_every_write_path () =
   Alcotest.(check bool) "flip_mem_bit wrote memory" false (Bytes.equal eng.E.mem pristine);
   E.reset eng;
   Alcotest.(check bool) "flip_mem_bit at mem_size - 1 restored" true
-    (Bytes.equal eng.E.mem pristine)
+    (Bytes.equal eng.E.mem pristine);
+  (* a golden-checkpoint restore (DESIGN.md §21) writes the captured pages
+     into the arena: capture -> restore -> run -> reset must end
+     byte-equal to the snapshot too *)
+  let image = slot_loop_image () in
+  let snap = E.snapshot image in
+  let pristine = (E.create_from_snapshot snap).E.mem in
+  List.iter
+    (fun decoded ->
+      let what = if decoded then "restore (decoded)" else "restore (legacy)" in
+      let fresh () =
+        let e = E.create_from_snapshot snap in
+        if decoded then E.install_decoded e (Some (E.decode image));
+        e
+      in
+      let src = fresh () and cp = ref None in
+      ignore (E.run ~poll:(fun () -> if !cp = None then cp := Some (E.capture src)) src);
+      let eng = fresh () in
+      E.restore eng (Option.get !cp);
+      Alcotest.(check bool) (what ^ ": the restore wrote memory") false
+        (Bytes.equal eng.E.mem pristine);
+      (match (E.run eng).E.status with
+      | E.Exited 0 -> ()
+      | _ -> Alcotest.failf "%s: resumed run did not exit 0" what);
+      E.reset eng;
+      if not (Bytes.equal eng.E.mem pristine) then
+        Alcotest.failf "%s: memory differs from the snapshot at 0x%x after reset" what
+          (first_diff eng.E.mem pristine))
+    [ false; true ]
 
 (* --- snapshot restores globals, heap, output --------------------------- *)
 

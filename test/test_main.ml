@@ -17,6 +17,7 @@ let () =
       ("backend", Test_backend.tests);
       ("machine", Test_machine.tests);
       ("fastpath", Test_fastpath.tests);
+      ("fastforward", Test_fastforward.tests);
       ("decode", Test_decode.tests);
       ("pinned", Test_pinned.tests);
       ("fi", Test_fi.tests);
